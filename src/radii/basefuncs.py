@@ -26,14 +26,8 @@ from __future__ import annotations
 import math
 
 from .errors import TruncationError
-from .families import Base, Family, check_domain
+from .families import Base, check_domain
 from .series import resolve_max_terms
-
-_CIRCLE_OF = {
-    Base.BESSEL: Family.BESSEL_CIRCLE,
-    Base.STRUVE: Family.STRUVE_CIRCLE,
-    Base.LOMMEL: Family.LOMMEL_CIRCLE,
-}
 
 
 def _term_denominator(base: Base, parameter: float, n: int) -> float:
@@ -53,7 +47,7 @@ def reduced_pair(
     Both sums share one term stream; the loop stops once the current term can
     no longer move either sum at binary64 resolution.
     """
-    check_domain(_CIRCLE_OF[base], parameter)
+    check_domain(base.circle, parameter)
     if not x > 0.0:
         raise ValueError(f"reduced series evaluated for x > 0, got {x!r}")
     budget = resolve_max_terms(max_terms)

@@ -13,7 +13,7 @@ floats carry 17 significant digits; JSON output is ``{"schema_version": 1,
 "command": ..., "rows": [...]}`` with keys matching the CSV columns.
 
 Exit codes: 0 success, 1 verify ran and some claim failed, 2 usage or domain
-error, 3 numerical failure (series truncation or lost root).
+error, 3 numerical failure (series truncation, lost root or float overflow).
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ import json
 import math
 import sys
 
-from .errors import DomainError, OrderError, RootNotFoundError, TruncationError
-from .families import DOMAIN_TEXT, Base, Family, check_domain
+from .errors import DomainError, OrderError
+from .families import Family, check_domain
 from .roots import find_radius
 from .series import MAX_TERMS_ENV
 from .sums import MAX_CLOSED_BRACKET, MAX_NEWTON_BRACKET, SumSource, radius_bracket
-from .verify import default_config, explore_interlacing, run_verify
+from .verify import VerificationOutcome, default_config, explore_interlacing, run_verify
 
 EXIT_OK = 0
 EXIT_CLAIMS_FAILED = 1
@@ -40,17 +40,7 @@ EXIT_NUMERIC = 3
 
 BOUNDS_COLUMNS = ("family", "parameter", "k", "lower", "upper", "source")
 RADIUS_COLUMNS = ("family", "parameter", "radius", "residual", "iterations", "lo3", "hi3")
-VERIFY_COLUMNS = (
-    "claim_id",
-    "family",
-    "parameter",
-    "measured",
-    "expected_low",
-    "expected_high",
-    "tolerance",
-    "passed",
-    "note",
-)
+VERIFY_COLUMNS = tuple(field.name for field in dataclasses.fields(VerificationOutcome))
 INTERLACE_COLUMNS = ("nu", "index", "source", "zero")
 
 _FAMILY_GUIDE = """\
@@ -311,25 +301,6 @@ def _radius_rows(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def _verify_rows(report) -> list[dict]:
-    rows = []
-    for o in report.outcomes:
-        rows.append(
-            {
-                "claim_id": o.claim_id,
-                "family": o.family,
-                "parameter": o.parameter,
-                "measured": o.measured,
-                "expected_low": o.expected_low,
-                "expected_high": o.expected_high,
-                "tolerance": o.tolerance,
-                "passed": o.passed,
-                "note": o.note,
-            }
-        )
-    return rows
-
-
 def _interlace_rows(reports) -> list[dict]:
     rows = []
     for rep in reports:
@@ -417,42 +388,21 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _run(cfg: RunConfig) -> int:
-    if cfg.command == "bounds":
-        rows = _bounds_rows(cfg)
-        if cfg.fmt == "csv":
-            text = _render_csv(BOUNDS_COLUMNS, rows)
-        elif cfg.fmt == "json":
-            text = _render_json("bounds", rows)
-        else:
-            text = _render_table_text(rows, BOUNDS_COLUMNS)
-        _emit(cfg, text)
-        return EXIT_OK
-    if cfg.command == "radius":
-        rows = _radius_rows(cfg)
-        if cfg.fmt == "csv":
-            text = _render_csv(RADIUS_COLUMNS, rows)
-        elif cfg.fmt == "json":
-            text = _render_json("radius", rows)
-        else:
-            text = _render_table_text(rows, RADIUS_COLUMNS)
-        _emit(cfg, text)
-        return EXIT_OK
-    if cfg.command == "verify":
+    code = EXIT_OK
+    if cfg.command in ("bounds", "radius"):
+        columns = BOUNDS_COLUMNS if cfg.command == "bounds" else RADIUS_COLUMNS
+        rows = json_rows = (_bounds_rows if cfg.command == "bounds" else _radius_rows)(cfg)
+        render_text = lambda: _render_table_text(rows, columns)
+    elif cfg.command == "verify":
         report = run_verify(default_config(only=cfg.only, tolerance_overrides=cfg.tol_overrides))
-        if cfg.fmt == "csv":
-            text = _render_csv(VERIFY_COLUMNS, _verify_rows(report))
-        elif cfg.fmt == "json":
-            text = _render_json("verify", _verify_rows(report))
-        else:
-            text = _render_verify_text(report)
-        _emit(cfg, text)
-        return EXIT_OK if report.passed else EXIT_CLAIMS_FAILED
-    # explore-interlace
-    reports = [explore_interlacing(nu, cfg.count) for nu in cfg.nus]
-    if cfg.fmt == "csv":
-        text = _render_csv(INTERLACE_COLUMNS, _interlace_rows(reports))
-    elif cfg.fmt == "json":
-        rows = [
+        columns = VERIFY_COLUMNS
+        rows = json_rows = [dict(vars(o)) for o in report.outcomes]
+        render_text = lambda: _render_verify_text(report)
+        code = EXIT_OK if report.passed else EXIT_CLAIMS_FAILED
+    else:  # explore-interlace
+        reports = [explore_interlacing(nu, cfg.count) for nu in cfg.nus]
+        columns, rows = INTERLACE_COLUMNS, _interlace_rows(reports)
+        json_rows = [
             {
                 "nu": rep.nu,
                 "count": rep.count,
@@ -463,11 +413,15 @@ def _run(cfg: RunConfig) -> int:
             }
             for rep in reports
         ]
-        text = _render_json("explore-interlace", rows)
+        render_text = lambda: _render_interlace_text(reports)
+    if cfg.fmt == "csv":
+        text = _render_csv(columns, rows)
+    elif cfg.fmt == "json":
+        text = _render_json(cfg.command, json_rows)
     else:
-        text = _render_interlace_text(reports)
+        text = render_text()
     _emit(cfg, text)
-    return EXIT_OK
+    return code
 
 
 def main(argv=None) -> int:
@@ -480,7 +434,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _run(cfg)
-    except (TruncationError, RootNotFoundError) as exc:
+    except ArithmeticError as exc:  # series truncation, lost root, float overflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DomainError, OrderError, ValueError) as exc:

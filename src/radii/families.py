@@ -18,6 +18,7 @@ around computing and certifying that zero.
 from __future__ import annotations
 
 import enum
+import math
 
 from .errors import DomainError
 
@@ -28,6 +29,11 @@ class Base(enum.Enum):
     BESSEL = "bessel"
     STRUVE = "struve"
     LOMMEL = "lommel"
+
+    @property
+    def circle(self) -> Family:
+        """The circle-normalized family of this base."""
+        return _CIRCLE[self]
 
 
 class Kind(enum.Enum):
@@ -81,6 +87,8 @@ _KIND = {
     Family.LOMMEL_SQRT: Kind.SQRT,
 }
 
+_CIRCLE = {base: family for family, base in _BASE.items() if _KIND[family] is Kind.CIRCLE}
+
 # Human-readable domain descriptions, used in error messages and --help.
 DOMAIN_TEXT = {
     Base.BESSEL: "nu > -1",
@@ -108,8 +116,10 @@ def check_domain(family: Family, parameter: float) -> None:
     """
     base = family.base
     p = float(parameter)
-    if p != p:  # NaN never belongs to any domain
-        raise DomainError(f"{family.value}: parameter is NaN, valid interval is {DOMAIN_TEXT[base]}")
+    if not math.isfinite(p):  # NaN and infinities belong to no domain
+        raise DomainError(
+            f"{family.value}: parameter {p!r} is not finite, valid interval is {DOMAIN_TEXT[base]}"
+        )
     if base is Base.BESSEL:
         ok = p > -1.0
     elif base is Base.STRUVE:

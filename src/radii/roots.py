@@ -68,10 +68,16 @@ class RadiusReport:
     extended_domain: bool
 
 
-def _bisect(f, lo: float, hi: float, flo: float) -> tuple[float, int, bool]:
-    """Shrink a sign-change bracket; returns (midpoint, evals, converged)."""
+def _bisect(
+    f, lo: float, hi: float, flo: float, *,
+    xtol: float = 0.0, rtol: float = REL_WIDTH, maxiter: int = MAX_BISECT,
+) -> tuple[float, int, bool]:
+    """Shrink a sign-change bracket to width xtol + rtol*|mid|.
+
+    Returns (midpoint, evals, converged); at most ``maxiter`` evaluations.
+    """
     iterations = 0
-    while hi - lo > REL_WIDTH * abs(0.5 * (lo + hi)) and iterations < MAX_BISECT:
+    while hi - lo > xtol + rtol * abs(0.5 * (lo + hi)) and iterations < maxiter:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         iterations += 1
@@ -83,7 +89,24 @@ def _bisect(f, lo: float, hi: float, flo: float) -> tuple[float, int, bool]:
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    return mid, iterations, hi - lo <= REL_WIDTH * abs(mid)
+    return mid, iterations, hi - lo <= xtol + rtol * abs(mid)
+
+
+def _march(f, x: float, fx: float, step: float, growth: float, limit: float):
+    """Step forward from x, where f(x) = fx > 0, until f is no longer positive.
+
+    Each step is ``growth`` times the previous one, and no point beyond
+    ``limit`` is evaluated.  Returns a bracket (lo, hi, f(lo)) for _bisect,
+    with lo == hi at an exact zero, or None once the next point passes the
+    limit.  A NaN value ends the march like a sign change.
+    """
+    while (x_new := x + step) <= limit:
+        f_new = f(x_new)
+        if not f_new > 0.0:
+            return (x_new if f_new == 0.0 else x), x_new, fx
+        x, fx = x_new, f_new
+        step *= growth
+    return None
 
 
 def equation_residual(family: Family, parameter: float, z: float) -> float:
@@ -140,27 +163,15 @@ def find_radius(family: Family, parameter: float) -> RadiusReport:
     flo = f(lo)
     fhi = f(hi)
     if not (flo > 0.0 and fhi < 0.0):
-        step = bracket3.lower / 64.0
         limit = 1.5 * crude_upper_bound(family, p)
-        x_prev, f_prev = 0.0, 1.0  # derivative equals 1 at the origin
-        x = step
-        lo = hi = -1.0
-        while x <= limit:
-            fx = f(x)
-            if fx == 0.0:
-                lo = hi = x
-                flo = 1.0
-                break
-            if (fx > 0.0) != (f_prev > 0.0):
-                lo, hi, flo = x_prev, x, f_prev
-                break
-            x_prev, f_prev = x, fx
-            x += step
-        if lo < 0.0:
+        # the derivative equals 1 at the origin
+        found = _march(f, 0.0, 1.0, bracket3.lower / 64.0, 1.0, limit)
+        if found is None:
             raise RootNotFoundError(
                 f"{family.value} at parameter {p!r}: no derivative sign change "
                 f"up to {limit!r}"
             )
+        lo, hi, flo = found
     radius, iterations, converged = _bisect(f, lo, hi, flo)
     residual = equation_residual(family, p, radius)
     return RadiusReport(
@@ -195,37 +206,21 @@ def find_first_function_zero(family: Family, parameter: float) -> float:
     def f(x: float) -> float:
         return eval_normalized(family, p, x)
 
-    x, fx = start, f(start)
+    fx = f(start)
     if not fx > 0.0:
         raise RootNotFoundError(
             f"{family.value} at parameter {p!r}: series not positive at scan start"
         )
-    step = start / 4.0
-    while fx > 0.0:
-        x_new = x + step
-        if x_new > 1e6:
-            raise RootNotFoundError(
-                f"{family.value} at parameter {p!r}: no function zero found below 1e6"
-            )
-        f_new = f(x_new)
-        if f_new <= 0.0:
-            if f_new == 0.0:
-                return x_new
-            zero, _, _ = _bisect(f, x, x_new, fx)
-            return zero
-        x, fx = x_new, f_new
-        step *= 1.25
-    raise RootNotFoundError("unreachable")  # pragma: no cover
+    found = _march(f, start, fx, start / 4.0, 1.25, 1e6)
+    if found is None:
+        raise RootNotFoundError(
+            f"{family.value} at parameter {p!r}: no function zero found below 1e6"
+        )
+    zero, _, _ = _bisect(f, *found)
+    return zero
 
 
 # --- ODE continuation for zeros beyond the series' numeric reach ---------
-
-_CIRCLE_OF = {
-    Base.BESSEL: Family.BESSEL_CIRCLE,
-    Base.STRUVE: Family.STRUVE_CIRCLE,
-    Base.LOMMEL: Family.LOMMEL_CIRCLE,
-}
-
 
 def _ode_rhs(base: Base, p: float):
     """Second-order ODE y'' = rhs for the circle-normalized function.
@@ -263,7 +258,7 @@ def circle_solution(base: Base, parameter: float, x_end: float):
     point x0 sits safely below the first zero (half the Rayleigh lower
     bound), with initial values taken from the series in its accurate range.
     """
-    fam = _CIRCLE_OF[base]
+    fam = base.circle
     check_domain(fam, parameter)
     p = float(parameter)
     x0 = 0.5 / math.sqrt(first_rayleigh_zero_sum(base, p))
@@ -321,7 +316,7 @@ def base_function_zeros(base: Base, parameter: float, count: int) -> tuple[float
         raise OrderError(
             f"zero engine certified for 1..{MAX_ZERO_INDEX} zeros, got {count}"
         )
-    fam = _CIRCLE_OF[base]
+    fam = base.circle
     first = find_first_function_zero(fam, parameter)
     for stretch in (1.0, 1.6, 2.6):
         x_end = first + math.pi * (count + 1.5) * stretch

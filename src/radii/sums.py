@@ -11,7 +11,9 @@ are computable two independent ways:
 * ``NEWTON_RECURRENCE``: from the coefficients c_1..c_K via the Newton
   identity p_k = (-1)^(k-1) k c_k + sum_{i<k} (-1)^(i-1) c_i p_(k-i);
 * ``CLOSED_FORM``: rational functions of the parameter, available for
-  k <= 4 and transcribed below with integer Horner coefficients.
+  k <= 4 and transcribed below as one table: per family and order, a
+  constant num/den, the integer Horner coefficients of the numerator, and
+  the exponents of the base's linear denominator factors.
 
 Because the zeros are positive, the power sums sandwich the smallest zero:
 
@@ -121,122 +123,72 @@ def _poly(x: float, coeffs: tuple[int, ...]) -> float:
     return acc
 
 
-# Closed forms.  Numerators are integer-coefficient polynomials evaluated by
-# Horner's rule; denominators are products of the linear factors shown.
-# Constant-factor placement (numerator multiplier / denominator multiplier):
+# Closed forms, one row per family and order k = 1..4:
 #
-#   family         k=1      k=2       k=3       k=4
-#   bessel-circle  3/1      1/1       2/1       1/1
-#   bessel-sqrt    2/1      1/1       1/1       1/1
-#   struve-circle  4/1      16/3      64/5      256/315
-#   struve-sqrt    8/3      32/45     128/945   512/14175
-#   lommel-circle  12/1     16/1      192/1     256/1
-#   lommel-sqrt    8/1      32/1      128/1     512/1
+#   (num, den, numerator Horner coefficients, denominator exponents)
+#
+# and p_k = num * N(v) / (den * f_1^e_1 * f_2^e_2 * ...), where N is the
+# integer polynomial (coefficients highest degree first) and e_i is the
+# exponent of the i-th linear factor f_i of the family's base:
+#
+#   Bessel  v+1, v+2, v+3, v+4
+#   Struve  2v+3, 2v+5, 2v+7, 2v+9
+#   Lommel  m+2, m+3, ..., m+9
+#
+# The denominator is multiplied left to right starting from den; that order
+# is part of the transcription, since it fixes every rounding.
 #
 # The fourth lommel-sqrt numerator below is a corrected transcription: the
 # commonly quoted polynomial fails the Newton cross-check (relative error
 # ~0.55 at mu=1/2) while this one, rederived from the generating identity,
 # matches it to binary64 precision.  See the repository notes for evidence.
 
-
-def _closed_bessel_circle(v: float, k: int) -> float:
-    if k == 1:
-        return 3.0 / (v + 1.0)
-    if k == 2:
-        return _poly(v, (4, 13)) / ((v + 1.0) ** 2 * (v + 2.0))
-    if k == 3:
-        return 2.0 * _poly(v, (4, 26, 49)) / ((v + 1.0) ** 3 * (v + 2.0) * (v + 3.0))
-    return _poly(v, (16, 208, 1032, 2341, 1987)) / (
-        (v + 1.0) ** 4 * (v + 2.0) ** 2 * (v + 3.0) * (v + 4.0)
-    )
-
-
-def _closed_bessel_sqrt(v: float, k: int) -> float:
-    if k == 1:
-        return 2.0 / (v + 1.0)
-    if k == 2:
-        return _poly(v, (1, 5)) / ((v + 1.0) ** 2 * (v + 2.0))
-    if k == 3:
-        return _poly(v, (1, 8, 23)) / ((v + 1.0) ** 3 * (v + 2.0) * (v + 3.0))
-    return _poly(v, (1, 15, 90, 267, 287)) / (
-        (v + 1.0) ** 4 * (v + 2.0) ** 2 * (v + 3.0) * (v + 4.0)
-    )
-
-
-def _closed_struve_circle(v: float, k: int) -> float:
-    t3 = 2.0 * v + 3.0
-    t5 = 2.0 * v + 5.0
-    t7 = 2.0 * v + 7.0
-    t9 = 2.0 * v + 9.0
-    if k == 1:
-        return 4.0 / t3
-    if k == 2:
-        return 16.0 * _poly(v, (2, 9)) / (3.0 * t3**2 * t5)
-    if k == 3:
-        return 64.0 * _poly(v, (4, 32, 79)) / (5.0 * t3**3 * t5 * t7)
-    return 256.0 * _poly(v, (592, 9296, 56352, 159660, 171315)) / (
-        315.0 * t3**4 * t5**2 * t7 * t9
-    )
-
-
-def _closed_struve_sqrt(v: float, k: int) -> float:
-    t3 = 2.0 * v + 3.0
-    t5 = 2.0 * v + 5.0
-    t7 = 2.0 * v + 7.0
-    t9 = 2.0 * v + 9.0
-    if k == 1:
-        return 8.0 / (3.0 * t3)
-    if k == 2:
-        return 32.0 * _poly(v, (2, 23)) / (45.0 * t3**2 * t5)
-    if k == 3:
-        return 128.0 * _poly(v, (20, 228, 1417)) / (945.0 * t3**3 * t5 * t7)
-    return 512.0 * _poly(v, (272, 5552, 47584, 247828, 416439)) / (
-        14175.0 * t3**4 * t5**2 * t7 * t9
-    )
-
-
-def _closed_lommel_circle(m: float, k: int) -> float:
-    f = [m + 2.0, m + 3.0, m + 4.0, m + 5.0, m + 6.0, m + 7.0, m + 8.0, m + 9.0]
-    if k == 1:
-        return 12.0 / (f[0] * f[1])
-    if k == 2:
-        return 16.0 * _poly(m, (-1, 31, 120)) / (f[0] ** 2 * f[1] ** 2 * f[2] * f[3])
-    if k == 3:
-        return 192.0 * _poly(m, (1, -2, 175, 1842, 4032)) / (
-            f[0] ** 3 * f[1] ** 3 * f[2] * f[3] * f[4] * f[5]
-        )
-    return 256.0 * _poly(
-        m, (-1, 128, 2196, 24178, 352645, 3476958, 17744328, 44003088, 42301440)
-    ) / (
-        f[0] ** 4 * f[1] ** 4 * f[2] ** 2 * f[3] ** 2 * f[4] * f[5] * f[6] * f[7]
-    )
-
-
-def _closed_lommel_sqrt(m: float, k: int) -> float:
-    f = [m + 2.0, m + 3.0, m + 4.0, m + 5.0, m + 6.0, m + 7.0, m + 8.0, m + 9.0]
-    if k == 1:
-        return 8.0 / (f[0] * f[1])
-    if k == 2:
-        return 32.0 * _poly(m, (-1, 3, 22)) / (f[0] ** 2 * f[1] ** 2 * f[2] * f[3])
-    if k == 3:
-        return 128.0 * _poly(m, (1, -14, -79, 320, 1308)) / (
-            f[0] ** 3 * f[1] ** 3 * f[2] * f[3] * f[4] * f[5]
-        )
-    # corrected transcription, see the table comment above
-    return 512.0 * _poly(
-        m, (-1, 24, 384, -1146, -32043, -97686, 321388, 2052024, 2733696)
-    ) / (
-        f[0] ** 4 * f[1] ** 4 * f[2] ** 2 * f[3] ** 2 * f[4] * f[5] * f[6] * f[7]
-    )
-
+_FACTORS = {
+    Base.BESSEL: tuple((1.0, b) for b in (1.0, 2.0, 3.0, 4.0)),
+    Base.STRUVE: tuple((2.0, b) for b in (3.0, 5.0, 7.0, 9.0)),
+    Base.LOMMEL: tuple((1.0, b) for b in (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)),
+}
 
 _CLOSED = {
-    Family.BESSEL_CIRCLE: _closed_bessel_circle,
-    Family.BESSEL_SQRT: _closed_bessel_sqrt,
-    Family.STRUVE_CIRCLE: _closed_struve_circle,
-    Family.STRUVE_SQRT: _closed_struve_sqrt,
-    Family.LOMMEL_CIRCLE: _closed_lommel_circle,
-    Family.LOMMEL_SQRT: _closed_lommel_sqrt,
+    Family.BESSEL_CIRCLE: (
+        (3, 1, (1,), (1,)),
+        (1, 1, (4, 13), (2, 1)),
+        (2, 1, (4, 26, 49), (3, 1, 1)),
+        (1, 1, (16, 208, 1032, 2341, 1987), (4, 2, 1, 1)),
+    ),
+    Family.BESSEL_SQRT: (
+        (2, 1, (1,), (1,)),
+        (1, 1, (1, 5), (2, 1)),
+        (1, 1, (1, 8, 23), (3, 1, 1)),
+        (1, 1, (1, 15, 90, 267, 287), (4, 2, 1, 1)),
+    ),
+    Family.STRUVE_CIRCLE: (
+        (4, 1, (1,), (1,)),
+        (16, 3, (2, 9), (2, 1)),
+        (64, 5, (4, 32, 79), (3, 1, 1)),
+        (256, 315, (592, 9296, 56352, 159660, 171315), (4, 2, 1, 1)),
+    ),
+    Family.STRUVE_SQRT: (
+        (8, 3, (1,), (1,)),
+        (32, 45, (2, 23), (2, 1)),
+        (128, 945, (20, 228, 1417), (3, 1, 1)),
+        (512, 14175, (272, 5552, 47584, 247828, 416439), (4, 2, 1, 1)),
+    ),
+    Family.LOMMEL_CIRCLE: (
+        (12, 1, (1,), (1, 1)),
+        (16, 1, (-1, 31, 120), (2, 2, 1, 1)),
+        (192, 1, (1, -2, 175, 1842, 4032), (3, 3, 1, 1, 1, 1)),
+        (256, 1, (-1, 128, 2196, 24178, 352645, 3476958, 17744328, 44003088, 42301440),
+         (4, 4, 2, 2, 1, 1, 1, 1)),
+    ),
+    Family.LOMMEL_SQRT: (
+        (8, 1, (1,), (1, 1)),
+        (32, 1, (-1, 3, 22), (2, 2, 1, 1)),
+        (128, 1, (1, -14, -79, 320, 1308), (3, 3, 1, 1, 1, 1)),
+        # corrected transcription, see the table comment above
+        (512, 1, (-1, 24, 384, -1146, -32043, -97686, 321388, 2052024, 2733696),
+         (4, 4, 2, 2, 1, 1, 1, 1)),
+    ),
 }
 
 
@@ -247,7 +199,11 @@ def closed_form_sum(family: Family, parameter: float, k: int) -> float:
         raise OrderError(
             f"closed forms transcribed for 1 <= k <= {MAX_CLOSED_ORDER}, got {k}"
         )
-    return _CLOSED[family](float(parameter), k)
+    v = float(parameter)
+    num, den, coeffs, exponents = _CLOSED[family][k - 1]
+    for (a, b), e in zip(_FACTORS[family.base], exponents):
+        den *= (a * v + b) ** e
+    return num * _poly(v, coeffs) / den
 
 
 def power_sums(

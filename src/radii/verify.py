@@ -23,13 +23,16 @@ same suite render byte-identically.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from collections.abc import Callable
 
 from .errors import OrderError
 from .families import Base, Family
 from .basefuncs import struve_h
 from .roots import (
     RadiusReport,
+    _bisect,
     base_function_zeros,
     circle_solution,
     find_first_function_zero,
@@ -180,25 +183,18 @@ def grid_for(config: VerifyConfig, family: Family) -> tuple[float, ...]:
     }[family.base]
 
 
-def _tolerance(config: VerifyConfig, claim_id: str, default: float) -> float:
-    """Longest matching override prefix wins; otherwise the default."""
-    best_len = -1
-    best = default
-    for prefix, value in config.tolerance_overrides:
-        if claim_id.startswith(prefix) and len(prefix) > best_len:
-            best_len = len(prefix)
-            best = value
-    return best
+def _longest_prefix(table, claim_id: str, default: float) -> float:
+    """Value of the longest prefix in ``table`` that starts claim_id, else default."""
+    matches = [(prefix, value) for prefix, value in table if claim_id.startswith(prefix)]
+    return max(matches, key=lambda m: len(m[0]))[1] if matches else default
 
 
-def _default_tol(claim_id: str, scale: float = 1.0) -> float:
-    best_len = -1
-    best = 0.0
-    for prefix, value in TOLERANCES:
-        if claim_id.startswith(prefix) and len(prefix) > best_len:
-            best_len = len(prefix)
-            best = value
-    return best * scale
+def _tolerance(config: VerifyConfig, claim_id: str, scale: float = 1.0) -> float:
+    """Tolerance for a claim: the longest matching ``--tol`` override prefix
+    wins; otherwise the longest matching TOLERANCES entry times ``scale``
+    (0 when no entry matches)."""
+    default = _longest_prefix(TOLERANCES, claim_id, 0.0) * scale
+    return _longest_prefix(config.tolerance_overrides, claim_id, default)
 
 
 def _within(
@@ -211,7 +207,7 @@ def _within(
     tol_scale: float = 1.0,
     note: str = "",
 ) -> VerificationOutcome:
-    tol = _tolerance(config, claim_id, _default_tol(claim_id, tol_scale))
+    tol = _tolerance(config, claim_id, tol_scale)
     ok = math.isfinite(measured) and abs(measured - expected) <= tol
     return VerificationOutcome(
         claim_id, family, parameter, measured, expected - tol, expected + tol, tol, ok, note
@@ -237,17 +233,8 @@ def _wants(config: VerifyConfig, *prefixes: str) -> bool:
     return any(p.startswith(config.only) or config.only.startswith(p) for p in prefixes)
 
 
-class _RadiusCache:
-    """Per-run memo of find_radius results (the suite reuses them heavily)."""
-
-    def __init__(self) -> None:
-        self._seen: dict[tuple[Family, float], RadiusReport] = {}
-
-    def get(self, family: Family, parameter: float) -> RadiusReport:
-        key = (family, parameter)
-        if key not in self._seen:
-            self._seen[key] = find_radius(family, parameter)
-        return self._seen[key]
+#: find_radius, memoized per run_verify call.
+_RadiusLookup = Callable[[Family, float], RadiusReport]
 
 
 def _note_for(report: RadiusReport) -> str:
@@ -260,12 +247,12 @@ def _note_for(report: RadiusReport) -> str:
 
 
 def _check_grid_brackets(
-    config: VerifyConfig, cache: _RadiusCache, out: list[VerificationOutcome]
+    config: VerifyConfig, cache: _RadiusLookup, out: list[VerificationOutcome]
 ) -> None:
     for family in Family:
         name = family.value
         for p in grid_for(config, family):
-            rep = cache.get(family, p)
+            rep = cache(family, p)
             note = _note_for(rep)
             r = rep.radius
             closed = [radius_bracket(family, p, k, SumSource.CLOSED_FORM) for k in (1, 2, 3)]
@@ -283,7 +270,7 @@ def _check_grid_brackets(
                 uppers = [b.upper for b in seq]
                 worst_lo = min(b - a for a, b in zip(lowers, lowers[1:]))
                 worst_up = min(a - b for a, b in zip(uppers, uppers[1:]))
-                slack = _tolerance(config, f"chain.{name}", _default_tol("chain"))
+                slack = _tolerance(config, f"chain.{name}")
                 out.append(
                     _inside(f"chain.{name}.{source}.lower", name, p, worst_lo, -slack, math.inf, note)
                 )
@@ -304,25 +291,13 @@ def solve_half_pi_crossing_order() -> float:
     pi/2; re-solving the crossing from the closed forms reproduces the pinned
     constant.
     """
-    lo, hi = -0.5, -0.45
     g = lambda v: radius_bracket(Family.STRUVE_CIRCLE, v, 2, SumSource.CLOSED_FORM).lower - HALF_PI
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-        if hi - lo <= 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    crossing, _, _ = _bisect(g, -0.5, -0.45, g(-0.5), xtol=1e-15, rtol=0.0, maxiter=200)
+    return crossing
 
 
 def _check_constants(
-    config: VerifyConfig, cache: _RadiusCache, out: list[VerificationOutcome]
+    config: VerifyConfig, cache: _RadiusLookup, out: list[VerificationOutcome]
 ) -> None:
     sc = Family.STRUVE_CIRCLE.value
     bc = Family.BESSEL_CIRCLE.value
@@ -332,7 +307,7 @@ def _check_constants(
             "const.struve-circle.radius-at-minus-half",
             sc,
             -0.5,
-            cache.get(Family.STRUVE_CIRCLE, -0.5).radius,
+            cache(Family.STRUVE_CIRCLE, -0.5).radius,
             HALF_PI,
             note="reduces to the sine function",
         )
@@ -343,7 +318,7 @@ def _check_constants(
             "const.struve-circle.radius-at-half",
             sc,
             0.5,
-            cache.get(Family.STRUVE_CIRCLE, 0.5).radius,
+            cache(Family.STRUVE_CIRCLE, 0.5).radius,
             RADIUS_STRUVE_AT_HALF,
             note="root of z sin z = 1 - cos z",
         )
@@ -365,7 +340,7 @@ def _check_constants(
             "const.struve-circle.halfpi-order.radius-above",
             sc,
             crossing,
-            cache.get(Family.STRUVE_CIRCLE, crossing).radius,
+            cache(Family.STRUVE_CIRCLE, crossing).radius,
             HALF_PI,
             math.inf,
             note="radius exceeds its own lower bound at the crossing",
@@ -377,7 +352,7 @@ def _check_constants(
             "const.bessel-circle.radius-at-half",
             bc,
             0.5,
-            cache.get(Family.BESSEL_CIRCLE, 0.5).radius,
+            cache(Family.BESSEL_CIRCLE, 0.5).radius,
             HALF_PI,
             note="reduces to the sine function",
         )
@@ -385,11 +360,11 @@ def _check_constants(
 
 
 def _check_asymptotics(
-    config: VerifyConfig, cache: _RadiusCache, out: list[VerificationOutcome]
+    config: VerifyConfig, cache: _RadiusLookup, out: list[VerificationOutcome]
 ) -> None:
     for nu in config.asymptotic_orders:
         tag = f"nu{nu:g}"
-        r_sqrt = cache.get(Family.BESSEL_SQRT, nu).radius
+        r_sqrt = cache(Family.BESSEL_SQRT, nu).radius
         out.append(
             _within(
                 config,
@@ -401,7 +376,7 @@ def _check_asymptotics(
                 tol_scale=1.0 / (nu * nu),
             )
         )
-        r_circ = cache.get(Family.BESSEL_CIRCLE, nu).radius
+        r_circ = cache(Family.BESSEL_CIRCLE, nu).radius
         out.append(
             _within(
                 config,
@@ -416,9 +391,9 @@ def _check_asymptotics(
 
 
 def _check_monotonicity(
-    config: VerifyConfig, cache: _RadiusCache, out: list[VerificationOutcome]
+    config: VerifyConfig, cache: _RadiusLookup, out: list[VerificationOutcome]
 ) -> None:
-    radii = [cache.get(Family.BESSEL_SQRT, p).radius for p in config.bessel_grid]
+    radii = [cache(Family.BESSEL_SQRT, p).radius for p in config.bessel_grid]
     worst = min(b - a for a, b in zip(radii, radii[1:]))
     out.append(
         _inside(
@@ -432,8 +407,8 @@ def _check_monotonicity(
         )
     )
     for p in config.struve_grid:
-        r_v = cache.get(Family.STRUVE_CIRCLE, p).radius
-        r_phi = cache.get(Family.BESSEL_CIRCLE, p).radius
+        r_v = cache(Family.STRUVE_CIRCLE, p).radius
+        r_phi = cache(Family.BESSEL_CIRCLE, p).radius
         out.append(
             _inside(
                 "cross.struve-circle.above-bessel",
@@ -444,8 +419,8 @@ def _check_monotonicity(
                 math.inf,
             )
         )
-        r_w = cache.get(Family.STRUVE_SQRT, p).radius
-        r_psi = cache.get(Family.BESSEL_SQRT, p).radius
+        r_w = cache(Family.STRUVE_SQRT, p).radius
+        r_psi = cache(Family.BESSEL_SQRT, p).radius
         out.append(
             _inside(
                 "cross.struve-sqrt.above-bessel",
@@ -456,11 +431,9 @@ def _check_monotonicity(
                 math.inf,
             )
         )
-    r_half = cache.get(Family.STRUVE_CIRCLE, 0.5).radius
-    worst_gap = min(r_half - cache.get(Family.STRUVE_CIRCLE, p).radius for p in config.struve_grid)
-    slack = _tolerance(
-        config, "mono.struve-circle.max-at-half", _default_tol("mono.struve-circle.max-at-half")
-    )
+    r_half = cache(Family.STRUVE_CIRCLE, 0.5).radius
+    worst_gap = min(r_half - cache(Family.STRUVE_CIRCLE, p).radius for p in config.struve_grid)
+    slack = _tolerance(config, "mono.struve-circle.max-at-half")
     out.append(
         _inside(
             "mono.struve-circle.max-at-half",
@@ -566,7 +539,7 @@ def run_verify(config: VerifyConfig | None = None) -> VerifyReport:
     """
     if config is None:
         config = default_config()
-    cache = _RadiusCache()
+    cache = functools.cache(find_radius)  # per-run memo; the suite reuses radii heavily
     out: list[VerificationOutcome] = []
     if _wants(config, "bracket", "chain", "crude", "ceiling"):
         _check_grid_brackets(config, cache, out)

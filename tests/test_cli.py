@@ -132,6 +132,30 @@ def test_tight_term_budget_is_numeric_error(capsys, monkeypatch):
     assert "stopping rule not met within 9 terms" in err
 
 
+def test_infinite_parameter_is_domain_error(capsys):
+    code, _, err = run_cli(capsys, "radius", "--family", "bessel-circle", "--param", "inf")
+    assert code == 2
+    assert "not finite" in err
+    code, _, err = run_cli(capsys, "bounds", "--family", "all", "--param", "inf")
+    assert code == 2
+    assert "no valid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("radius", "--family", "bessel-sqrt", "--param", "1e40"),
+        ("bounds", "--family", "all", "--param", "1e300", "--k", "6", "--source", "both"),
+    ],
+    ids=["zero-division", "overflow"],
+)
+def test_float_arithmetic_failure_is_numeric_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_only_const_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "const", "--format", "json")
     assert code == 0

@@ -56,11 +56,23 @@ def test_domain_accepts_interior_and_closed_edges(family, parameter):
         (Family.LOMMEL_CIRCLE, 0.0),
         (Family.LOMMEL_CIRCLE, 1.0),
         (Family.LOMMEL_SQRT, -1.0),
+        (Family.BESSEL_CIRCLE, math.inf),
+        (Family.BESSEL_SQRT, -math.inf),
+        (Family.STRUVE_CIRCLE, math.inf),
+        (Family.LOMMEL_SQRT, -math.inf),
     ],
 )
 def test_domain_rejects_boundary_and_exterior(family, parameter):
     with pytest.raises(DomainError):
         check_domain(family, parameter)
+
+
+def test_circle_family_of_each_base():
+    assert {base: base.circle for base in Base} == {
+        Base.BESSEL: Family.BESSEL_CIRCLE,
+        Base.STRUVE: Family.STRUVE_CIRCLE,
+        Base.LOMMEL: Family.LOMMEL_CIRCLE,
+    }
 
 
 def test_domain_error_names_the_valid_interval():

@@ -1,0 +1,52 @@
+"""Golden digests of the CLI's byte output: the behaviour contract.
+
+Each case runs ``radii`` in process and pins the sha256 of everything it
+writes to stdout.  A refactor must leave every digest unchanged.  The digests
+depend on the Python interpreter and the platform libm (they were taken with
+CPython 3.11 on x86-64 glibc); a change that alters output on purpose re-pins
+them with ``python tests/test_golden.py`` and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+
+import pytest
+
+from radii.cli import main
+
+GOLDEN = {
+    ("verify", "--format", "json"):
+        "ffe783c9234ca3a2f2d0fe6d8e20e9465785941fd122693b280aeb0f3bb32de0",
+    ("bounds", "--family", "all", "--range", "-0.9", "0.9", "0.05",
+     "--k", "6", "--source", "both", "--format", "csv"):
+        "d0446fb4bce49df9fd98b553ce112a84d85303bce52ab6a81d829e5eacf1395d",
+    ("radius", "--family", "all", "--range", "-0.9", "0.9", "0.05", "--format", "csv"):
+        "21836e76f4646156408f4130fb7dd8ca1c6a34ad06380ba6cad47e5f23d2a4ef",
+    ("explore-interlace", "--format", "json"):
+        "81cb3e53537f8dabc7c4a27c3367c184fa9e8499651da166bcabb0a5e4252daf",
+}
+
+
+def digest(argv) -> tuple[int, str]:
+    """(exit code, sha256 of stdout) for one in-process CLI run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
+def test_output_matches_golden_digest(argv):
+    code, sha = digest(argv)
+    assert code == 0
+    assert sha == GOLDEN[argv]
+
+
+if __name__ == "__main__":
+    # Print the current digests in GOLDEN's layout, for re-pinning.
+    for argv in GOLDEN:
+        print(f"    {argv!r}:\n        {digest(argv)[1]!r},", file=sys.stdout)
