@@ -70,14 +70,14 @@ class RadiusReport:
 
 def _bisect(
     f, lo: float, hi: float, flo: float, *,
-    xtol: float = 0.0, rtol: float = REL_WIDTH, maxiter: int = MAX_BISECT,
+    xtol: float = 0.0, rtol: float = REL_WIDTH,
 ) -> tuple[float, int, bool]:
     """Shrink a sign-change bracket to width xtol + rtol*|mid|.
 
-    Returns (midpoint, evals, converged); at most ``maxiter`` evaluations.
+    Returns (midpoint, evals, converged); at most MAX_BISECT evaluations.
     """
     iterations = 0
-    while hi - lo > xtol + rtol * abs(0.5 * (lo + hi)) and iterations < maxiter:
+    while hi - lo > xtol + rtol * abs(0.5 * (lo + hi)) and iterations < MAX_BISECT:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         iterations += 1

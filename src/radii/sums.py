@@ -279,12 +279,7 @@ def first_rayleigh_zero_sum(base: Base, parameter: float) -> float:
     These are the classical first Rayleigh sums; they drive tail estimates
     for partial zero sums and the pole expansion check.
     """
-    circle = {
-        Base.BESSEL: Family.BESSEL_CIRCLE,
-        Base.STRUVE: Family.STRUVE_CIRCLE,
-        Base.LOMMEL: Family.LOMMEL_CIRCLE,
-    }[base]
-    check_domain(circle, parameter)
+    check_domain(base.circle, parameter)
     p = float(parameter)
     if base is Base.BESSEL:
         return 1.0 / (4.0 * (p + 1.0))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections.abc import Callable
 
 from .errors import OrderError
 from .families import Base, Family
@@ -233,10 +232,6 @@ def _wants(config: VerifyConfig, *prefixes: str) -> bool:
     return any(p.startswith(config.only) or config.only.startswith(p) for p in prefixes)
 
 
-#: find_radius, memoized per run_verify call.
-_RadiusLookup = Callable[[Family, float], RadiusReport]
-
-
 def _note_for(report: RadiusReport) -> str:
     parts = []
     if report.extended_domain:
@@ -247,7 +242,7 @@ def _note_for(report: RadiusReport) -> str:
 
 
 def _check_grid_brackets(
-    config: VerifyConfig, cache: _RadiusLookup, out: list[VerificationOutcome]
+    config: VerifyConfig, cache, out: list[VerificationOutcome]
 ) -> None:
     for family in Family:
         name = family.value
@@ -292,12 +287,12 @@ def solve_half_pi_crossing_order() -> float:
     constant.
     """
     g = lambda v: radius_bracket(Family.STRUVE_CIRCLE, v, 2, SumSource.CLOSED_FORM).lower - HALF_PI
-    crossing, _, _ = _bisect(g, -0.5, -0.45, g(-0.5), xtol=1e-15, rtol=0.0, maxiter=200)
+    crossing, _, _ = _bisect(g, -0.5, -0.45, g(-0.5), xtol=1e-15, rtol=0.0)
     return crossing
 
 
 def _check_constants(
-    config: VerifyConfig, cache: _RadiusLookup, out: list[VerificationOutcome]
+    config: VerifyConfig, cache, out: list[VerificationOutcome]
 ) -> None:
     sc = Family.STRUVE_CIRCLE.value
     bc = Family.BESSEL_CIRCLE.value
@@ -360,7 +355,7 @@ def _check_constants(
 
 
 def _check_asymptotics(
-    config: VerifyConfig, cache: _RadiusLookup, out: list[VerificationOutcome]
+    config: VerifyConfig, cache, out: list[VerificationOutcome]
 ) -> None:
     for nu in config.asymptotic_orders:
         tag = f"nu{nu:g}"
@@ -391,7 +386,7 @@ def _check_asymptotics(
 
 
 def _check_monotonicity(
-    config: VerifyConfig, cache: _RadiusLookup, out: list[VerificationOutcome]
+    config: VerifyConfig, cache, out: list[VerificationOutcome]
 ) -> None:
     radii = [cache(Family.BESSEL_SQRT, p).radius for p in config.bessel_grid]
     worst = min(b - a for a, b in zip(radii, radii[1:]))
