@@ -43,6 +43,9 @@ RADIUS_COLUMNS = ("family", "parameter", "radius", "residual", "iterations", "lo
 VERIFY_COLUMNS = tuple(field.name for field in dataclasses.fields(VerificationOutcome))
 INTERLACE_COLUMNS = ("nu", "index", "source", "zero")
 
+#: Largest number of parameters one --range sweep may hold.
+MAX_SWEEP_POINTS = 1_000_000
+
 _FAMILY_GUIDE = """\
 families (normalizations of classical functions, f(0)=0, f'(0)=1):
   bessel-circle   x^(1-nu) Bessel J_nu(x), scaled; order nu > -1
@@ -97,7 +100,8 @@ def _add_selection(sub: argparse.ArgumentParser) -> None:
         nargs=3,
         type=float,
         metavar=("START", "STOP", "STEP"),
-        help="inclusive parameter sweep; out-of-domain points are skipped with a warning",
+        help="inclusive parameter sweep of at most %d points; out-of-domain points are "
+        "skipped with a warning" % MAX_SWEEP_POINTS,
     )
 
 
@@ -196,11 +200,20 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             strict = len(families) == 1
         else:
             lo, hi, step = args.range
+            for name, value in zip(("START", "STOP", "STEP"), args.range):
+                if not math.isfinite(value):
+                    raise DomainError(f"range {name} must be finite, got {value!r}")
             if step <= 0.0:
                 raise DomainError(f"range STEP must be positive, got {step!r}")
             if hi < lo:
                 raise DomainError(f"range STOP {hi!r} is below START {lo!r}")
-            n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+            span = (hi - lo) / step + 1e-9
+            if not span < MAX_SWEEP_POINTS:  # also an overflowed span; checked before allocating
+                raise DomainError(
+                    f"range {lo!r}..{hi!r} by {step!r} has more than "
+                    f"{MAX_SWEEP_POINTS} points; use a larger STEP"
+                )
+            n = int(math.floor(span)) + 1
             parameters = tuple(lo + i * step for i in range(n))
     tol_overrides: list[tuple[str, float]] = []
     for item in getattr(args, "tol", []):

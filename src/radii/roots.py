@@ -4,7 +4,9 @@ The radius of starlikeness of a family member is the first positive zero of
 the transformed derivative series.  It is located by plain bisection inside
 the order-3 closed-form bracket; no derivative-based iteration is used, so
 the only failure mode is a sign-check failure, which a defensive forward
-scan recovers from.
+scan recovers from.  Each search builds one series evaluator for its family
+member, so coefficient ratios are computed once per radius, not once per
+evaluation.
 
 Each radius is cross-checked against the equivalent transcendental equation
 written in terms of the underlying classical function (evaluated through the
@@ -17,6 +19,8 @@ alternating terms peak around e^x and cancellation destroys every digit.
 Those zeros instead come from integrating the function's second-order ODE
 outward from a series-accurate starting point and root-scanning the dense
 solution, which stays well conditioned at any argument reached here.
+numpy and scipy are imported inside that engine only, so importing the
+package and computing radii do not load them.
 """
 
 from __future__ import annotations
@@ -24,14 +28,15 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-
 from .basefuncs import reduced_pair
 from .errors import OrderError, RootNotFoundError
 from .families import Base, Family, Kind, check_domain, is_extended_domain
-from .series import eval_normalized, eval_normalized_derivative
+from .series import (
+    derivative_evaluator,
+    eval_normalized,
+    eval_normalized_derivative,
+    value_evaluator,
+)
 from .sums import (
     BracketInterval,
     SumSource,
@@ -155,10 +160,7 @@ def find_radius(family: Family, parameter: float) -> RadiusReport:
     check_domain(family, parameter)
     p = float(parameter)
     bracket3 = radius_bracket(family, p, 3, SumSource.CLOSED_FORM)
-
-    def f(z: float) -> float:
-        return eval_normalized_derivative(family, p, z)
-
+    f = derivative_evaluator(family, p)
     lo, hi = bracket3.lower, bracket3.upper
     flo = f(lo)
     fhi = f(hi)
@@ -202,10 +204,7 @@ def find_first_function_zero(family: Family, parameter: float) -> float:
         start = 0.5 / math.sqrt(total)  # first zero exceeds 1/sqrt(sum)
     else:
         start = 0.25 / total  # squared variable: first zero exceeds 1/sum
-
-    def f(x: float) -> float:
-        return eval_normalized(family, p, x)
-
+    f = value_evaluator(family, p)
     fx = f(start)
     if not fx > 0.0:
         raise RootNotFoundError(
@@ -265,6 +264,8 @@ def circle_solution(base: Base, parameter: float, x_end: float):
     if x_end <= x0:
         raise ValueError(f"x_end={x_end!r} must exceed the start point {x0!r}")
     y0 = [eval_normalized(fam, p, x0), eval_normalized_derivative(fam, p, x0)]
+    from scipy.integrate import solve_ivp  # deferred: only the ODE engine needs scipy
+
     sol = solve_ivp(
         _ode_rhs(base, p),
         (x0, x_end),
@@ -286,6 +287,9 @@ def zeros_from_solution(sol, lo: float, hi: float, combine, count: int) -> list[
     quasi-period of the oscillation, so only genuinely non-simple zeros (a
     measure-zero parameter event) can be missed.
     """
+    import numpy as np
+    from scipy.optimize import brentq
+
     samples = max(int((hi - lo) * 40.0), 200)
     xs = np.linspace(lo, hi, samples)
     vals = combine(xs, sol.sol(xs))

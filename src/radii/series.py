@@ -21,6 +21,13 @@ these c_n feed both the series evaluators here and the zero-sum machinery in
 
 All arithmetic is plain binary64 using ratio recurrences; no Gamma values
 are ever formed, so large orders (nu of order 10^3) stay representable.
+
+Callers that evaluate one family member many times, such as the root finders
+in :mod:`radii.roots`, build a :func:`derivative_evaluator` or
+:func:`value_evaluator` once.  It checks the domain, resolves the term budget
+and computes each coefficient ratio once, and then gives the same bits as
+:func:`eval_normalized_derivative` / :func:`eval_normalized`, which are
+one-call wrappers over the evaluators.
 """
 
 from __future__ import annotations
@@ -44,9 +51,10 @@ MAX_TERMS_ENV = "RADII_MAX_TERMS"
 def resolve_max_terms(max_terms: int | None = None) -> int:
     """Return the term budget, honoring the RADII_MAX_TERMS override.
 
-    The environment variable is read at call time so long-running processes
-    can adjust it between calls.  Budgets below 9 cannot satisfy the
-    minimum-term rule and are rejected.
+    The environment variable is read whenever an evaluator is built, i.e. on
+    every library call, so long-running processes can adjust it between
+    calls.  Budgets below 9 cannot satisfy the minimum-term rule and are
+    rejected.
     """
     if max_terms is None:
         env = os.environ.get(MAX_TERMS_ENV)
@@ -102,30 +110,82 @@ def coefficient_sequence(family: Family, parameter: float, upto: int) -> Coeffic
     return CoefficientSequence(family, float(parameter), tuple(values))
 
 
-def _sum_with_stopping_rule(
-    term0: float, ratio, max_terms: int, context: str
-) -> tuple[float, int]:
-    """Sum term0 * prod(ratio(i)) with the shared truncation policy.
+def _series(family: Family, parameter: float, ratio_at, max_terms: int | None, what: str):
+    """Shared summation loop behind both evaluators.
 
-    ``ratio(n)`` must return term_(n+1)/term_n.  Returns (sum, terms used).
+    Checks the domain and resolves the term budget once, then returns
+    ``total(term0, x)``: the sum of term0 * prod(q * ratio_at(i)) with
+    q = -x^2/4 (circle) or -x/4 (sqrt), under the stopping rule.  Each ratio
+    is computed once, the first time a sum reaches that term, and kept in a
+    table owned by the returned function.
     """
-    total = term0
-    run_max = abs(total)
-    term = term0
-    n = 0
-    while True:
-        nxt = term * ratio(n)
-        if n + 1 >= MIN_TERMS and abs(nxt) < EPS_REL * run_max:
-            return total, n + 1
-        if n + 1 >= max_terms:
-            raise TruncationError(
-                f"{context}: stopping rule not met within {max_terms} terms"
-            )
-        term = nxt
-        total += term
-        n += 1
-        if abs(total) > run_max:
-            run_max = abs(total)
+    check_domain(family, parameter)
+    budget = resolve_max_terms(max_terms)
+    circle = family.kind is Kind.CIRCLE
+    ratios: list[float] = []
+
+    def total(term: float, x: float) -> float:
+        q = -(x * x) / 4.0 if circle else -x / 4.0
+        s = term
+        run_max = abs(s)
+        n = 0
+        while True:
+            if n == len(ratios):
+                ratios.append(ratio_at(n))
+            nxt = term * (q * ratios[n])
+            if n + 1 >= MIN_TERMS and abs(nxt) < EPS_REL * run_max:
+                return s
+            if n + 1 >= budget:
+                raise TruncationError(
+                    f"{family.value} {what} at {x!r}: stopping rule not met within "
+                    f"{budget} terms"
+                )
+            term = nxt
+            s += term
+            n += 1
+            if abs(s) > run_max:
+                run_max = abs(s)
+
+    return total
+
+
+def value_evaluator(family: Family, parameter: float, *, max_terms: int | None = None):
+    """Return ``f(x)``, the normalized function of one family member.
+
+    ``f(x)`` equals :func:`eval_normalized` at the same arguments, bit for bit,
+    but the domain check, the term budget and the coefficient ratios are
+    worked out once per evaluator instead of once per call.  The closure
+    keeps a growing ratio table, so give each thread its own evaluator.
+    """
+    base = family.base
+    total = _series(
+        family, parameter, lambda n: base_coefficient_ratio(base, parameter, n),
+        max_terms, "value",
+    )
+
+    def value(x: float) -> float:
+        x = float(x)
+        return 0.0 if x == 0.0 else total(x, x)
+
+    return value
+
+
+def derivative_evaluator(family: Family, parameter: float, *, max_terms: int | None = None):
+    """Return ``f(x)``, the transformed derivative of one family member.
+
+    ``f(x)`` equals :func:`eval_normalized_derivative` bit for bit; see
+    :func:`value_evaluator` for what is shared between calls.
+    """
+    total = _series(
+        family, parameter, lambda n: coefficient_ratio(family, parameter, n),
+        max_terms, "derivative",
+    )
+
+    def derivative(x: float) -> float:
+        x = float(x)
+        return 1.0 if x == 0.0 else total(1.0, x)
+
+    return derivative
 
 
 def eval_normalized(
@@ -136,21 +196,7 @@ def eval_normalized(
     For sqrt families the argument is the substituted variable, i.e. the
     series sum(-1)^n u_n x^(n+1)/4^n is evaluated as given.
     """
-    check_domain(family, parameter)
-    budget = resolve_max_terms(max_terms)
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    if family.kind is Kind.CIRCLE:
-        q = -(x * x) / 4.0
-    else:
-        q = -x / 4.0
-
-    def ratio(n: int) -> float:
-        return q * base_coefficient_ratio(family.base, parameter, n)
-
-    total, _ = _sum_with_stopping_rule(x, ratio, budget, f"{family.value} value at {x!r}")
-    return total
+    return value_evaluator(family, parameter, max_terms=max_terms)(x)
 
 
 def eval_normalized_derivative(
@@ -162,20 +208,4 @@ def eval_normalized_derivative(
     sum(-1)^n c_n x^n/4^n (sqrt) whose first positive zero is the radius of
     starlikeness of the family member.
     """
-    check_domain(family, parameter)
-    budget = resolve_max_terms(max_terms)
-    x = float(x)
-    if family.kind is Kind.CIRCLE:
-        q = -(x * x) / 4.0
-    else:
-        q = -x / 4.0
-    if x == 0.0:
-        return 1.0
-
-    def ratio(n: int) -> float:
-        return q * coefficient_ratio(family, parameter, n)
-
-    total, _ = _sum_with_stopping_rule(
-        1.0, ratio, budget, f"{family.value} derivative at {x!r}"
-    )
-    return total
+    return derivative_evaluator(family, parameter, max_terms=max_terms)(x)

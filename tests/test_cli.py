@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from radii import cli
 from radii.cli import main
 
 
@@ -123,6 +124,36 @@ def test_range_validation(capsys):
     )
     assert code == 2
     assert "below START" in err
+
+
+@pytest.mark.parametrize(
+    "bounds,name",
+    [(("0", "1", "inf"), "STEP"), (("nan", "1", "0.1"), "START"), (("0", "inf", "0.1"), "STOP")],
+)
+def test_range_endpoints_must_be_finite(capsys, bounds, name):
+    code, out, err = run_cli(capsys, "radius", "--family", "bessel-circle", "--range", *bounds)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: range {name} must be finite")
+    assert "parameter nan" not in err
+
+
+def test_range_point_count_is_capped_before_allocation(capsys, monkeypatch):
+    # 10^9 + 1 points: refused at once instead of building the sweep
+    code, out, err = run_cli(
+        capsys, "radius", "--family", "bessel-circle", "--range", "0", "1", "1e-9"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"more than {cli.MAX_SWEEP_POINTS} points" in err
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 5)
+    argv = ("bounds", "--family", "bessel-sqrt", "--k", "1", "--format", "csv", "--range")
+    code, out, _ = run_cli(capsys, *argv, "0", "0.4", "0.1")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 5
+    code, _, err = run_cli(capsys, *argv, "0", "0.5", "0.1")
+    assert code == 2
+    assert "more than 5 points" in err
 
 
 def test_tight_term_budget_is_numeric_error(capsys, monkeypatch):

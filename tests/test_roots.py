@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +16,7 @@ from radii import (
     find_first_function_zero,
     find_radius,
 )
+from radii import roots
 from radii.families import Base
 from radii.roots import circle_solution
 
@@ -202,3 +207,58 @@ def test_zero_engine_count_bounds():
         base_function_zeros(Base.BESSEL, 0.0, 0)
     with pytest.raises(OrderError, match="got 21"):
         base_function_zeros(Base.BESSEL, 0.0, 21)
+
+
+@pytest.fixture
+def derivative_calls(monkeypatch):
+    """Count calls to every evaluator find_radius builds."""
+    calls = [0]
+    build = roots.derivative_evaluator
+
+    def counting_builder(*args, **kwargs):
+        f = build(*args, **kwargs)
+
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+
+        return counted
+
+    monkeypatch.setattr(roots, "derivative_evaluator", counting_builder)
+    return calls
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_evaluations_per_radius_inside_an_honest_bracket(family, derivative_calls):
+    for parameter in SAMPLE_PARAMS[family]:
+        derivative_calls[0] = 0
+        report = find_radius(family, parameter)
+        # both bracket ends, then one evaluation per bisection step
+        assert derivative_calls[0] == report.iterations + 2
+
+
+@pytest.mark.parametrize("family", [Family.BESSEL_CIRCLE, Family.BESSEL_SQRT])
+def test_evaluations_per_radius_with_forward_scan_fallback(family, derivative_calls):
+    parameter = -0.999999  # the order-3 bracket misses the radius here
+    report = find_radius(family, parameter)
+    march = derivative_calls[0] - 2 - report.iterations
+    assert march > 0
+    step = report.bracket3.lower / 64.0
+    assert march <= math.ceil(1.5 * crude_upper_bound(family, parameter) / step)
+    assert report.iterations <= roots.MAX_BISECT
+
+
+def test_import_leaves_numpy_and_scipy_to_the_ode_engine():
+    script = (
+        "import sys, radii\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        "print(radii.base_function_zeros(radii.Base.BESSEL, 0.0, 2)[0])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(roots.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    loaded, first_zero = done.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(first_zero) == pytest.approx(FIRST_ZERO_ORDER0, abs=1e-9)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from radii import (
     eval_normalized_derivative,
 )
 from radii.families import Base, Kind
-from radii.series import resolve_max_terms
+from radii.series import derivative_evaluator, resolve_max_terms, value_evaluator
 
 PARAM_RANGES = {
     Base.BESSEL: (-0.95, 40.0),
@@ -39,6 +40,26 @@ def family_and_parameter(draw):
     if family.base is Base.LOMMEL and abs(parameter) < 1e-6:
         parameter = 0.5
     return family, parameter
+
+
+def whole_domain_parameter(rng, family):
+    # Seeded draws over each base's whole domain, edges and large orders included.
+    if family.base is Base.BESSEL:
+        return rng.choice(
+            [-1.0 + 10.0 ** rng.uniform(-9, 0), rng.uniform(-1.0, 30.0), 10.0 ** rng.uniform(0, 4)]
+        )
+    if family.base is Base.STRUVE:
+        return rng.choice([-0.5, 0.5, rng.uniform(-0.5, 0.5), 0.5 - 10.0 ** rng.uniform(-12, -1)])
+    mu = rng.choice([rng.uniform(-1.0, 1.0), 1.0 - 10.0 ** rng.uniform(-9, -1)])
+    return mu * rng.choice([-1.0, 1.0]) or 0.5
+
+
+def outcome(fn, *args, **kwargs):
+    """Repr of the result, or the type and text of the error raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except ArithmeticError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def brute_term_factor(family, parameter, n):
@@ -198,3 +219,47 @@ def test_explicit_budget_overrides_environment(monkeypatch):
     monkeypatch.setenv("RADII_MAX_TERMS", "9")
     value = eval_normalized(Family.BESSEL_CIRCLE, 0.0, 1.0, max_terms=100)
     assert value == pytest.approx(0.76519768655796655, abs=1e-15)
+
+
+EVALUATORS = [
+    (value_evaluator, eval_normalized),
+    (derivative_evaluator, eval_normalized_derivative),
+]
+
+
+@pytest.mark.parametrize("build,evaluate", EVALUATORS, ids=["value", "derivative"])
+@pytest.mark.parametrize("family", list(Family))
+def test_evaluator_matches_single_call_bitwise(family, build, evaluate):
+    rng = random.Random(f"{family.value}-{build.__name__}")
+    for _ in range(40):
+        parameter = whole_domain_parameter(rng, family)
+        f = build(family, parameter)
+        for x in [0.0, -0.0] + [10.0 ** rng.uniform(-6, 2.2) for _ in range(10)]:
+            assert outcome(f, x) == outcome(evaluate, family, parameter, x)
+
+
+@pytest.mark.parametrize("build,evaluate", EVALUATORS, ids=["value", "derivative"])
+@pytest.mark.parametrize("family", list(Family))
+def test_evaluator_results_do_not_depend_on_call_order(family, build, evaluate):
+    parameter = SAMPLE_PARAMS[family]
+    xs = [60.0, 25.0, 6.0, 1.5, 0.3, 1e-4]  # the first call grows the table the most
+    grown_first = build(family, parameter)
+    large_first = [outcome(grown_first, x) for x in xs]
+    small_first = build(family, parameter)
+    assert [outcome(small_first, x) for x in reversed(xs)] == large_first[::-1]
+    assert large_first == [outcome(evaluate, family, parameter, x) for x in xs]
+
+
+@pytest.mark.parametrize(
+    "build,what", [(value_evaluator, "value"), (derivative_evaluator, "derivative")]
+)
+def test_evaluator_truncation_message(build, what, monkeypatch):
+    message = f"^bessel-circle {what} at 40.0: stopping rule not met within 16 terms$"
+    with pytest.raises(TruncationError, match=message):
+        build(Family.BESSEL_CIRCLE, 0.0, max_terms=16)(40.0)
+    monkeypatch.setenv("RADII_MAX_TERMS", "16")
+    f = build(Family.BESSEL_CIRCLE, 0.0)
+    monkeypatch.setenv("RADII_MAX_TERMS", "200")  # read when the evaluator is built
+    with pytest.raises(TruncationError, match=message):
+        f(40.0)
+    assert math.isfinite(build(Family.BESSEL_CIRCLE, 0.0)(40.0))
