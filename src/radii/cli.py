@@ -27,8 +27,8 @@ import math
 import sys
 
 from .errors import DomainError, OrderError
-from .families import Family, check_domain
-from .roots import find_radius
+from .families import Family, check_domain, family_from_cli_name
+from .roots import MAX_ZERO_INDEX, find_radius
 from .series import MAX_TERMS_ENV
 from .sums import MAX_CLOSED_BRACKET, MAX_NEWTON_BRACKET, SumSource, radius_bracket
 from .verify import VerificationOutcome, default_config, explore_interlacing, run_verify
@@ -110,8 +110,21 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads any float literal (``-1e-3``, ``-inf``) as a value, where argparse
+    takes only ``-1``/``-0.5`` shapes; every option starts with ``--``, so none
+    is ambiguous.  Subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None  # a value, not an option
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radii",
         description="Radii of starlikeness of normalized Bessel, Struve and "
         "Lommel functions, with certified enclosures.",
@@ -174,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NU",
         help="Struve order; repeatable (default: -0.5 0.0 0.5)",
     )
-    explore.add_argument("--count", type=int, default=8, help="zeros per combination (max 20)")
+    explore.add_argument("--count", type=int, default=8, help=f"zeros per combination (max {MAX_ZERO_INDEX})")
     _add_output(explore)
     return parser
 
@@ -185,16 +198,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     parameters: tuple[float, ...] = ()
     strict = False
     if command in ("bounds", "radius"):
-        if args.family == "all":
-            families = tuple(Family)
-        else:
-            try:
-                families = (Family(args.family),)
-            except ValueError:
-                raise DomainError(
-                    "unknown family %r; expected one of: %s, all"
-                    % (args.family, ", ".join(f.value for f in Family))
-                ) from None
+        try:
+            families = tuple(Family) if args.family == "all" else (family_from_cli_name(args.family),)
+        except DomainError as exc:
+            raise DomainError(f"{exc}, all") from None
         if args.param is not None:
             parameters = (float(args.param),)
             strict = len(families) == 1
@@ -231,8 +238,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 f"--k must be in 1..{limit} for source {args.source!r}, got {args.k}"
             )
     count = getattr(args, "count", 8)
-    if command == "explore-interlace" and not 1 <= count <= 20:
-        raise DomainError(f"--count must be in 1..20, got {count}")
+    if command == "explore-interlace" and not 1 <= count <= MAX_ZERO_INDEX:
+        raise DomainError(f"--count must be in 1..{MAX_ZERO_INDEX}, got {count}")
     return RunConfig(
         command=command,
         families=families,
@@ -450,10 +457,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # series truncation, lost root, float overflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DomainError, OrderError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (DomainError, OrderError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,7 +33,7 @@ class Base(enum.Enum):
     @property
     def circle(self) -> Family:
         """The circle-normalized family of this base."""
-        return _CIRCLE[self]
+        return Family(f"{self.value}-{Kind.CIRCLE.value}")
 
 
 class Kind(enum.Enum):
@@ -46,7 +46,8 @@ class Kind(enum.Enum):
 class Family(enum.Enum):
     """One of the six supported (base, normalization) combinations.
 
-    The enum value doubles as the CLI spelling.
+    The enum value doubles as the CLI spelling and names the base and the
+    normalization, which set ``base`` and ``kind``.
     """
 
     BESSEL_CIRCLE = "bessel-circle"
@@ -56,38 +57,11 @@ class Family(enum.Enum):
     LOMMEL_CIRCLE = "lommel-circle"
     LOMMEL_SQRT = "lommel-sqrt"
 
-    @property
-    def base(self) -> Base:
-        return _BASE[self]
+    def __init__(self, value: str) -> None:
+        base, kind = value.split("-")
+        self.base = Base(base)
+        self.kind = Kind(kind)
 
-    @property
-    def kind(self) -> Kind:
-        return _KIND[self]
-
-    @property
-    def cli_name(self) -> str:
-        return self.value
-
-
-_BASE = {
-    Family.BESSEL_CIRCLE: Base.BESSEL,
-    Family.BESSEL_SQRT: Base.BESSEL,
-    Family.STRUVE_CIRCLE: Base.STRUVE,
-    Family.STRUVE_SQRT: Base.STRUVE,
-    Family.LOMMEL_CIRCLE: Base.LOMMEL,
-    Family.LOMMEL_SQRT: Base.LOMMEL,
-}
-
-_KIND = {
-    Family.BESSEL_CIRCLE: Kind.CIRCLE,
-    Family.BESSEL_SQRT: Kind.SQRT,
-    Family.STRUVE_CIRCLE: Kind.CIRCLE,
-    Family.STRUVE_SQRT: Kind.SQRT,
-    Family.LOMMEL_CIRCLE: Kind.CIRCLE,
-    Family.LOMMEL_SQRT: Kind.SQRT,
-}
-
-_CIRCLE = {base: family for family, base in _BASE.items() if _KIND[family] is Kind.CIRCLE}
 
 # Human-readable domain descriptions, used in error messages and --help.
 DOMAIN_TEXT = {

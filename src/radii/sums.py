@@ -21,6 +21,12 @@ Because the zeros are positive, the power sums sandwich the smallest zero:
 
 which translates to brackets for the radius of starlikeness through
 r = 2 sqrt(a_1) (circle) and r = 4 b_1 (sqrt).
+
+One :class:`SumLedger` serves every order it covers: a closed-form p_k does
+not depend on the ledger's length, and a Newton p_k uses only c_1..c_k of one
+sequential recurrence, so a ledger's prefixes equal shorter ledgers bit for
+bit.  ``verify`` reads every enclosure of a family member from one ledger
+per source.
 """
 
 from __future__ import annotations
@@ -70,6 +76,18 @@ class SumLedger:
         if not 1 <= k <= self.order:
             raise OrderError(f"ledger holds p_1..p_{self.order}, requested p_{k}")
         return self.values[k - 1]
+
+    def bracket(self, k: int) -> BracketInterval:
+        """Enclosure of order k from p_k and p_(k+1), in the family's variable."""
+        pk = self.p(k)
+        pk1 = self.p(k + 1)
+        if self.family.kind is Kind.CIRCLE:
+            lower = 2.0 * pk ** (-0.5 / k)
+            upper = 2.0 * math.sqrt(pk / pk1)
+        else:
+            lower = 4.0 * pk ** (-1.0 / k)
+            upper = 4.0 * pk / pk1
+        return BracketInterval(self.family, self.parameter, k, lower, upper, self.source)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -229,8 +247,8 @@ def radius_bracket(
     """Euler-Rayleigh enclosure of order k for the radius of starlikeness.
 
     Closed-form brackets exist for k <= 3, Newton brackets for k <= 6 (the
-    upper endpoint consumes p_(k+1)).  Circle-family radii live in the
-    original variable, sqrt-family radii in the substituted one.
+    upper endpoint consumes p_(k+1)).  For several orders, build one ledger
+    with :func:`power_sums` and read each from :meth:`SumLedger.bracket`.
     """
     check_domain(family, parameter)
     if k < 1:
@@ -240,16 +258,7 @@ def radius_bracket(
         raise OrderError(
             f"{source.value} brackets available for k <= {limit}, got {k}"
         )
-    ledger = power_sums(family, parameter, k + 1, source)
-    pk = ledger.p(k)
-    pk1 = ledger.p(k + 1)
-    if family.kind is Kind.CIRCLE:
-        lower = 2.0 * pk ** (-0.5 / k)
-        upper = 2.0 * math.sqrt(pk / pk1)
-    else:
-        lower = 4.0 * pk ** (-1.0 / k)
-        upper = 4.0 * pk / pk1
-    return BracketInterval(family, float(parameter), k, lower, upper, source)
+    return power_sums(family, parameter, k + 1, source).bracket(k)
 
 
 def crude_upper_bound(family: Family, parameter: float) -> float:

@@ -30,6 +30,7 @@ from .errors import OrderError
 from .families import Base, Family
 from .basefuncs import struve_h
 from .roots import (
+    MAX_ZERO_INDEX,
     RadiusReport,
     _bisect,
     base_function_zeros,
@@ -38,7 +39,7 @@ from .roots import (
     find_radius,
     zeros_from_solution,
 )
-from .sums import SumSource, crude_upper_bound, first_rayleigh_zero_sum, radius_bracket
+from .sums import SumSource, crude_upper_bound, first_rayleigh_zero_sum, power_sums, radius_bracket
 
 #: Default tolerances by claim-id prefix.  Entries marked (rel) multiply a
 #: claim-specific scale; the rest are absolute.  One-sided interval claims
@@ -122,7 +123,6 @@ class VerifyConfig:
     zero_sum_cases: tuple[tuple[Base, float], ...]
     pole_pairs: tuple[tuple[float, float], ...]
     pole_limit_orders: tuple[float, ...]
-    zero_count: int = 20
     only: str = ""
     tolerance_overrides: tuple[tuple[str, float], ...] = ()
 
@@ -250,8 +250,10 @@ def _check_grid_brackets(
             rep = cache(family, p)
             note = _note_for(rep)
             r = rep.radius
-            closed = [radius_bracket(family, p, k, SumSource.CLOSED_FORM) for k in (1, 2, 3)]
-            newton = [radius_bracket(family, p, k, SumSource.NEWTON_RECURRENCE) for k in range(1, 7)]
+            closed_sums = power_sums(family, p, 4, SumSource.CLOSED_FORM)
+            newton_sums = power_sums(family, p, 7, SumSource.NEWTON_RECURRENCE)
+            closed = [closed_sums.bracket(k) for k in (1, 2, 3)]
+            newton = [newton_sums.bracket(k) for k in range(1, 7)]
             for b in closed:
                 out.append(
                     _inside(f"bracket.{name}.k{b.k}.closed", name, p, r, b.lower, b.upper, note)
@@ -442,9 +444,9 @@ def _check_monotonicity(
     )
 
 
-def _check_zero_sums(config: VerifyConfig, out: list[VerificationOutcome]) -> None:
+def _check_zero_sums(config: VerifyConfig, zero_table, out: list[VerificationOutcome]) -> None:
     for base, p in config.zero_sum_cases:
-        zeros = base_function_zeros(base, p, config.zero_count)
+        zeros = zero_table(base, p, MAX_ZERO_INDEX)
         partial = sum(1.0 / (z * z) for z in zeros)
         closed = first_rayleigh_zero_sum(base, p)
         out.append(
@@ -455,7 +457,7 @@ def _check_zero_sums(config: VerifyConfig, out: list[VerificationOutcome]) -> No
                 partial,
                 0.0,
                 closed,
-                note=f"first {config.zero_count} zeros",
+                note=f"first {MAX_ZERO_INDEX} zeros",
             )
         )
         out.append(
@@ -489,12 +491,9 @@ def _pole_expansion_sides(nu: float, z: float, zeros: tuple[float, ...]) -> tupl
     return left, main + tail
 
 
-def _check_pole_expansion(config: VerifyConfig, out: list[VerificationOutcome]) -> None:
-    zero_memo: dict[float, tuple[float, ...]] = {}
+def _check_pole_expansion(config: VerifyConfig, zero_table, out: list[VerificationOutcome]) -> None:
     for nu, z in config.pole_pairs:
-        if nu not in zero_memo:
-            zero_memo[nu] = base_function_zeros(Base.STRUVE, nu, config.zero_count)
-        left, right = _pole_expansion_sides(nu, z, zero_memo[nu])
+        left, right = _pole_expansion_sides(nu, z, zero_table(Base.STRUVE, nu, MAX_ZERO_INDEX))
         out.append(
             _within(
                 config,
@@ -531,10 +530,17 @@ def run_verify(config: VerifyConfig | None = None) -> VerifyReport:
     claims, special constants, asymptotics, monotonicity, zero sums, pole
     expansion.  The ``only`` filter keeps claims whose id starts with the
     given prefix (whole groups that cannot match are skipped).
+
+    Each fact is computed once per run: radii and base-function zero tables
+    (shared by the zero-sum and pole-expansion groups) go through memos that
+    live for this call only, and each grid point reads its nine enclosures
+    from one closed-form and one Newton power-sum ledger.
     """
     if config is None:
         config = default_config()
-    cache = functools.cache(find_radius)  # per-run memo; the suite reuses radii heavily
+    # per-run memos, built from the module globals at call time
+    cache = functools.cache(find_radius)
+    zero_table = functools.cache(base_function_zeros)
     out: list[VerificationOutcome] = []
     if _wants(config, "bracket", "chain", "crude", "ceiling"):
         _check_grid_brackets(config, cache, out)
@@ -545,9 +551,9 @@ def run_verify(config: VerifyConfig | None = None) -> VerifyReport:
     if _wants(config, "mono", "cross"):
         _check_monotonicity(config, cache, out)
     if _wants(config, "zerosum"):
-        _check_zero_sums(config, out)
+        _check_zero_sums(config, zero_table, out)
     if _wants(config, "mle"):
-        _check_pole_expansion(config, out)
+        _check_pole_expansion(config, zero_table, out)
     if config.only:
         out = [o for o in out if o.claim_id.startswith(config.only)]
     return VerifyReport(tuple(out))
@@ -561,8 +567,8 @@ def explore_interlacing(nu: float, count: int = 8) -> InterlacingReport:
     merged table and the strictness verdict are evidence for an open
     question, nothing more.
     """
-    if not 1 <= count <= 20:
-        raise OrderError(f"interlacing table supports 1..20 zeros, got {count}")
+    if not 1 <= count <= MAX_ZERO_INDEX:
+        raise OrderError(f"interlacing table supports 1..{MAX_ZERO_INDEX} zeros, got {count}")
     nu = float(nu)
     notes: list[str] = []
     found: dict[str, tuple[float, ...]] = {}

@@ -76,6 +76,7 @@ def test_unknown_family_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "bounds", "--family", "airy-circle", "--param", "0")
     assert code == 2
     assert "unknown family" in err
+    assert "lommel-sqrt, all" in err
 
 
 def test_radius_csv_header_and_sweep_warnings(capsys):
@@ -164,12 +165,37 @@ def test_tight_term_budget_is_numeric_error(capsys, monkeypatch):
 
 
 def test_infinite_parameter_is_domain_error(capsys):
-    code, _, err = run_cli(capsys, "radius", "--family", "bessel-circle", "--param", "inf")
-    assert code == 2
-    assert "not finite" in err
+    for value in ("inf", "-inf"):
+        code, _, err = run_cli(capsys, "radius", "--family", "bessel-circle", "--param", value)
+        assert code == 2
+        assert "not finite" in err
     code, _, err = run_cli(capsys, "bounds", "--family", "all", "--param", "inf")
     assert code == 2
     assert "no valid" in err
+
+
+@pytest.mark.parametrize("command", ["radius", "bounds"])
+def test_negative_exponent_literal_is_a_value(capsys, command):
+    spaced = run_cli(capsys, command, "--family", "bessel-circle", "--param", "-1e-3", "--format", "csv")
+    joined = run_cli(capsys, command, "--family", "bessel-circle", "--param=-1e-3", "--format", "csv")
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert "bessel-circle,-0.001," in spaced[1]
+
+
+def test_negative_exponent_range_start(capsys):
+    code, out, err = run_cli(
+        capsys, "radius", "--family", "bessel-circle", "--range", "-1e-3", "0", "0.001",
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 2
+
+
+def test_explore_interlace_accepts_negative_exponent_order(capsys):
+    spaced = run_cli(capsys, "explore-interlace", "--nu", "-2.5e-1", "--count", "2", "--format", "csv")
+    assert spaced == run_cli(capsys, "explore-interlace", "--nu", "-0.25", "--count", "2", "--format", "csv")
+    assert spaced[0] == 0
 
 
 @pytest.mark.parametrize(

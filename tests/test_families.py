@@ -11,7 +11,7 @@ def test_every_family_reports_base_and_kind():
     assert Family.BESSEL_SQRT.kind is Kind.SQRT
     assert Family.STRUVE_CIRCLE.kind is Kind.CIRCLE
     assert Family.LOMMEL_SQRT.base is Base.LOMMEL
-    assert {f.cli_name for f in Family} == {
+    assert {f.value for f in Family} == {
         "bessel-circle",
         "bessel-sqrt",
         "struve-circle",
@@ -23,7 +23,7 @@ def test_every_family_reports_base_and_kind():
 
 def test_cli_name_roundtrip():
     for family in Family:
-        assert family_from_cli_name(family.cli_name) is family
+        assert family_from_cli_name(family.value) is family
 
 
 def test_unknown_cli_name_rejected():

@@ -14,6 +14,8 @@ from radii import (
 from radii.families import Base, Kind
 from radii.series import derivative_evaluator, resolve_max_terms, value_evaluator
 
+from draws import whole_domain_parameter
+
 PARAM_RANGES = {
     Base.BESSEL: (-0.95, 40.0),
     Base.STRUVE: (-0.5, 0.5),
@@ -40,18 +42,6 @@ def family_and_parameter(draw):
     if family.base is Base.LOMMEL and abs(parameter) < 1e-6:
         parameter = 0.5
     return family, parameter
-
-
-def whole_domain_parameter(rng, family):
-    # Seeded draws over each base's whole domain, edges and large orders included.
-    if family.base is Base.BESSEL:
-        return rng.choice(
-            [-1.0 + 10.0 ** rng.uniform(-9, 0), rng.uniform(-1.0, 30.0), 10.0 ** rng.uniform(0, 4)]
-        )
-    if family.base is Base.STRUVE:
-        return rng.choice([-0.5, 0.5, rng.uniform(-0.5, 0.5), 0.5 - 10.0 ** rng.uniform(-12, -1)])
-    mu = rng.choice([rng.uniform(-1.0, 1.0), 1.0 - 10.0 ** rng.uniform(-9, -1)])
-    return mu * rng.choice([-1.0, 1.0]) or 0.5
 
 
 def outcome(fn, *args, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from radii import (
     radius_bracket,
 )
 from radii.families import Base, Kind
+
+from draws import whole_domain_parameter
 
 PARAM_RANGES = {
     Base.BESSEL: (-0.9, 30.0),
@@ -211,6 +214,27 @@ def test_ledger_index_bounds():
         ledger.p(4)
     with pytest.raises(OrderError):
         ledger.p(0)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_one_ledger_gives_every_order_bit_for_bit(family):
+    # verify reads all its enclosures from a 4-sum closed and a 7-sum Newton
+    # ledger; each must equal the bracket built from its own k + 1 sums.
+    rng = random.Random(f"ledger-{family.value}")
+    for parameter in (whole_domain_parameter(rng, family) for _ in range(40)):
+        for source, upto in ((SumSource.CLOSED_FORM, 4), (SumSource.NEWTON_RECURRENCE, 7)):
+            ledger = power_sums(family, parameter, upto, source)
+            for k in range(1, upto):
+                assert ledger.bracket(k) == radius_bracket(family, parameter, k, source)
+
+
+def test_ledger_bracket_needs_the_next_sum():
+    ledger = power_sums(Family.BESSEL_SQRT, 0.0, 4, SumSource.CLOSED_FORM)
+    assert ledger.bracket(3).k == 3
+    with pytest.raises(OrderError, match="requested p_5"):
+        ledger.bracket(4)
+    with pytest.raises(OrderError, match="requested p_0"):
+        ledger.bracket(0)
 
 
 def test_domain_errors_propagate():

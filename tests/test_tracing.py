@@ -1,0 +1,60 @@
+"""The benchmark's layer tracer still binds every call site it names.
+
+``perfbench/tracing.py`` wraps package functions at the modules that call
+them and refuses to install when a binding is gone.  Installing it here
+makes a refactor that drops a traced call site fail the tests instead of
+the traced benchmark run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+from radii.families import Base
+from radii.verify import VerifyConfig, run_verify
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+
+TINY = VerifyConfig(
+    bessel_grid=(0.0, 0.5),
+    struve_grid=(0.0, 0.5),
+    lommel_grid=(0.5,),
+    asymptotic_orders=(100.0,),
+    zero_sum_cases=((Base.STRUVE, 0.0),),
+    pole_pairs=((0.0, 0.5),),
+    pole_limit_orders=(0.5,),
+)
+
+
+def load_tracing():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        return importlib.import_module("tracing")
+    finally:
+        sys.path.remove(PERFBENCH)
+
+
+def bound_functions(tracing):
+    return {
+        (site, name): getattr(importlib.import_module(site), name.split(".", 1)[1], None)
+        for name, (_, sites) in tracing.BINDINGS.items()
+        for site in sites
+    }
+
+
+def test_tracer_installs_counts_and_uninstalls():
+    tracing = load_tracing()
+    before = bound_functions(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        report = run_verify(TINY)
+    finally:
+        tracer.uninstall()
+    assert all(fn is before[key] for key, fn in bound_functions(tracing).items())
+    calls = tracing.SpanSet(tracer.spans).calls
+    assert report.passed
+    assert calls["roots.base_function_zeros"] == 1  # shared by zero sums and pole pairs
+    assert calls["roots.find_radius"] > 0
+    assert calls["sums.radius_bracket"] > 0
+    assert calls["basefuncs.struve_h"] > 0

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from radii import (
     find_radius,
     run_verify,
 )
+from radii import verify
 from radii.families import Base
 from radii.roots import base_function_zeros
 from radii.verify import (
@@ -65,6 +67,26 @@ def test_small_suite_group_counts(small_report):
 def test_suite_is_deterministic(small_report):
     again = run_verify(SMALL)
     assert again.outcomes == small_report.outcomes
+
+
+def test_run_computes_each_ledger_and_zero_table_once(monkeypatch, small_report):
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "base_function_zeros", counting("zeros", verify.base_function_zeros))
+    monkeypatch.setattr(verify, "power_sums", counting("ledgers", verify.power_sums))
+    assert run_verify(SMALL).outcomes == small_report.outcomes
+    family_points = 2 * (5 + 5 + 4)
+    # three zero-sum cases, plus Struve -1/2 for the pole pairs: their
+    # Struve order 0 reuses the zero-sum table
+    assert calls["zeros"] == 4
+    assert calls["ledgers"] == 2 * family_points  # one closed, one Newton
 
 
 def test_extended_domain_noted_on_negative_lommel_rows(small_report):
