@@ -16,15 +16,20 @@ that equation is carried in the report.
 Zeros of the circle-normalized base functions beyond the first cannot be
 taken from the power series in binary64: out where the 20th zero lives the
 alternating terms peak around e^x and cancellation destroys every digit.
-Those zeros instead come from integrating the function's second-order ODE
-outward from a series-accurate starting point and root-scanning the dense
-solution, which stays well conditioned at any argument reached here.
-numpy and scipy are imported inside that engine only, so importing the
-package and computing radii do not load them.
+Those zeros instead come from the classical Taylor-series method for ODEs:
+each base function, multiplied through by x^2, satisfies
+x^2 y'' + A x y' + (x^2 + B) y = C x, so at any x0 > 0 its local Taylor
+coefficients follow from the value and slope by a five-term recurrence.  The
+solution is continued outward step by step from a series-accurate starting
+point, and each step's polynomial is sign-scanned and bisected for zeros.
+The origin is the equation's only singular point and every step stays within
+half its distance to it, so the method stays well conditioned at any
+argument reached here.  It needs only the standard library.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 
@@ -219,43 +224,100 @@ def find_first_function_zero(family: Family, parameter: float) -> float:
     return zero
 
 
-# --- ODE continuation for zeros beyond the series' numeric reach ---------
+# --- Taylor-series continuation for zeros beyond the series' reach -------
 
-def _ode_rhs(base: Base, p: float):
-    """Second-order ODE y'' = rhs for the circle-normalized function.
+#: Local Taylor terms kept per continuation step.
+TAYLOR_TERMS = 32
 
-    Derived by substituting the normalization into the classical defining
-    equation of each base function; the Struve and Lommel forms keep the
-    inhomogeneous term of the original equation.
+#: Zero-scan samples per unit of x (at least 200 over the scanned range).
+SCAN_DENSITY = 40.0
+
+
+def _ode_coefficients(base: Base, p: float) -> tuple[float, float, float]:
+    """(A, B, C) of x^2 y'' + A x y' + (x^2 + B) y = C x for the base.
+
+    This is the classical defining equation of each base function with the
+    circle normalization substituted and multiplied through by x^2; the
+    Struve and Lommel forms keep the inhomogeneous term.
     """
     if base is Base.BESSEL:
-        a = 2.0 * p - 1.0
+        return 2.0 * p - 1.0, 1.0 - 2.0 * p, 0.0
+    if base is Base.STRUVE:
+        return 2.0 * p + 1.0, 0.0, 2.0 * p + 1.0
+    return 2.0 * p, p * (p - 1.0), p * (p + 1.0)
 
-        def rhs(x, y):
-            return [y[1], -a * y[1] / x - (1.0 - a / (x * x)) * y[0]]
 
-    elif base is Base.STRUVE:
-        a = 2.0 * p + 1.0
+def _taylor_terms(x0: float, y: float, dy: float, abc) -> tuple[float, ...]:
+    """Coefficients a_0..a_(TAYLOR_TERMS-1) of y(x0 + t) = sum a_k t^k.
 
-        def rhs(x, y):
-            return [y[1], -a * y[1] / x - y[0] + a / x]
+    Matching powers of t in the x^2-form ODE gives, for k >= 0,
+    x0^2 (k+1)(k+2) a_(k+2) = C x0 [k=0] + C [k=1] - x0 (k+1)(2k+A) a_(k+1)
+    - (k(k-1) + A k + x0^2 + B) a_k - 2 x0 a_(k-1) - a_(k-2).
+    """
+    A, B, C = abc
+    x02 = x0 * x0
+    a = [0.0, 0.0, y, dy]  # a[k + 2] holds a_k; the pads are a_(-2), a_(-1)
+    forcing = (C * x0, C)
+    for k in range(TAYLOR_TERMS - 2):
+        s = (
+            (forcing[k] if k < 2 else 0.0)
+            - x0 * (k + 1) * (2 * k + A) * a[k + 3]
+            - (k * (k - 1) + A * k + x02 + B) * a[k + 2]
+            - 2.0 * x0 * a[k + 1]
+            - a[k]
+        )
+        a.append(s / (x02 * (k + 1) * (k + 2)))
+    return tuple(a[2:])
 
-    else:
-        b = p * (p - 1.0)
-        c = p * (p + 1.0)
 
-        def rhs(x, y):
-            return [y[1], -2.0 * p * y[1] / x - (1.0 + b / (x * x)) * y[0] + c / x]
+def _horner(terms: tuple[float, ...], t: float) -> tuple[float, float]:
+    """(value, slope) of the polynomial sum terms[k] t^k."""
+    value = slope = 0.0
+    for c in reversed(terms):
+        slope = slope * t + value
+        value = value * t + c
+    return value, slope
 
-    return rhs
+
+class TaylorSolution:
+    """One ODE solution as a chain of local Taylor polynomials.
+
+    Step i covers [starts[i], starts[i] + widths[i]]; on it the solution is
+    sum terms[i][k] (x - starts[i])^k.  ``sol(x)`` gives (value, slope).
+    """
+
+    # a plain class: building a dataclass adds ~1 ms to every cold import
+    __slots__ = ("starts", "widths", "terms")
+
+    def __init__(
+        self,
+        starts: tuple[float, ...],
+        widths: tuple[float, ...],
+        terms: tuple[tuple[float, ...], ...],
+    ) -> None:
+        self.starts = starts
+        self.widths = widths
+        self.terms = terms
+
+    def step(self, x: float) -> int:
+        """Index of the step whose polynomial serves x."""
+        return max(bisect.bisect_right(self.starts, x) - 1, 0)
+
+    def sol(self, x: float) -> tuple[float, float]:
+        i = self.step(x)
+        return _horner(self.terms[i], x - self.starts[i])
 
 
 def circle_solution(base: Base, parameter: float, x_end: float):
-    """Dense ODE solution of the circle-normalized function on [x0, x_end].
+    """Taylor continuation of the circle-normalized function on [x0, x_end].
 
-    Returns (x0, sol) where sol(x) yields [value, derivative].  The start
+    Returns (x0, sol) where sol.sol(x) yields (value, derivative).  The start
     point x0 sits safely below the first zero (half the Rayleigh lower
     bound), with initial values taken from the series in its accurate range.
+    Each step re-expands the solution in TAYLOR_TERMS local terms at its
+    start x and advances h = min(1, x/2): the only singular point of the
+    equation is the origin, so the neglected terms shrink at least like
+    2^-k on top of the factorial decay of an entire solution.
     """
     fam = base.circle
     check_domain(fam, parameter)
@@ -263,50 +325,67 @@ def circle_solution(base: Base, parameter: float, x_end: float):
     x0 = 0.5 / math.sqrt(first_rayleigh_zero_sum(base, p))
     if x_end <= x0:
         raise ValueError(f"x_end={x_end!r} must exceed the start point {x0!r}")
-    y0 = [eval_normalized(fam, p, x0), eval_normalized_derivative(fam, p, x0)]
-    from scipy.integrate import solve_ivp  # deferred: only the ODE engine needs scipy
-
-    sol = solve_ivp(
-        _ode_rhs(base, p),
-        (x0, x_end),
-        y0,
-        method="DOP853",
-        dense_output=True,
-        rtol=1e-12,
-        atol=1e-14,
-    )
-    if not sol.success:  # pragma: no cover - DOP853 does not fail on these
-        raise RootNotFoundError(f"ODE integration failed: {sol.message}")
-    return x0, sol
+    abc = _ode_coefficients(base, p)
+    y, dy = eval_normalized(fam, p, x0), eval_normalized_derivative(fam, p, x0)
+    starts: list[float] = []
+    widths: list[float] = []
+    polynomials: list[tuple[float, ...]] = []
+    x = x0
+    while x < x_end:
+        h = min(1.0, 0.5 * x)
+        terms = _taylor_terms(x, y, dy, abc)
+        starts.append(x)
+        widths.append(h)
+        polynomials.append(terms)
+        y, dy = _horner(terms, h)
+        x += h
+    return x0, TaylorSolution(tuple(starts), tuple(widths), tuple(polynomials))
 
 
 def zeros_from_solution(sol, lo: float, hi: float, combine, count: int) -> list[float]:
-    """First ``count`` zeros of combine(x, [y, y']) on [lo, hi], by dense scan.
+    """First ``count`` zeros of combine(x, (y, y')) on [lo, hi], by sign scan.
 
-    Sign scanning assumes simple zeros; the scan grid is far finer than the
-    quasi-period of the oscillation, so only genuinely non-simple zeros (a
-    measure-zero parameter event) can be missed.
+    ``sol`` is a :class:`TaylorSolution` covering [lo, hi].  Each step's
+    polynomial is sampled SCAN_DENSITY times per unit of x (at least 200
+    times over [lo, hi]), and each sign change is bisected on that step's
+    polynomial down to adjacent floats.  Sign scanning assumes simple zeros;
+    the samples are far finer than the quasi-period of the oscillation, so
+    only genuinely non-simple zeros (a measure-zero parameter event) can be
+    missed.
     """
-    import numpy as np
-    from scipy.optimize import brentq
-
-    samples = max(int((hi - lo) * 40.0), 200)
-    xs = np.linspace(lo, hi, samples)
-    vals = combine(xs, sol.sol(xs))
+    density = max(SCAN_DENSITY, 200.0 / (hi - lo))
     zeros: list[float] = []
-    for i in range(samples - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            if not zeros or xs[i] > zeros[-1] + 1e-9:
-                zeros.append(float(xs[i]))
-        elif (a > 0.0) != (b > 0.0):
-            root = brentq(
-                lambda x: float(combine(x, sol.sol(x))), xs[i], xs[i + 1],
-                xtol=1e-12, rtol=9e-16,
-            )
-            zeros.append(float(root))
-        if len(zeros) >= count:
+    x_prev = lo
+    f_prev = combine(lo, sol.sol(lo))
+    if f_prev == 0.0:
+        zeros.append(lo)
+    for i in range(sol.step(lo), len(sol.starts)):
+        start, terms = sol.starts[i], sol.terms[i]
+        end = min(start + sol.widths[i], hi)
+        if len(zeros) >= count or end <= x_prev:
             break
+
+        def f(x, start=start, terms=terms):
+            return combine(x, _horner(terms, x - start))
+
+        n = math.ceil((end - x_prev) * density)
+        left, width = x_prev, end - x_prev
+        for j in range(1, n + 1):
+            x = end if j == n else left + width * j / n
+            fx = f(x)
+            if fx == 0.0:
+                zeros.append(x)
+            elif f_prev != 0.0 and (fx > 0.0) != (f_prev > 0.0):
+                # 2^-52 |x| is at least one ulp of x and less than two, so
+                # bisection stops once the bracket ends are adjacent floats
+                # and returns one of them; keep the float around it where
+                # the polynomial is smallest
+                root = _bisect(f, x_prev, x, f(x_prev), rtol=2.0**-52)[0]
+                near = (math.nextafter(root, -math.inf), root, math.nextafter(root, math.inf))
+                zeros.append(min(near, key=lambda v: abs(f(v))))
+            x_prev, f_prev = x, fx
+            if len(zeros) >= count:
+                break
     return zeros
 
 

@@ -391,18 +391,18 @@ def _check_monotonicity(
     config: VerifyConfig, cache, out: list[VerificationOutcome]
 ) -> None:
     radii = [cache(Family.BESSEL_SQRT, p).radius for p in config.bessel_grid]
-    worst = min(b - a for a, b in zip(radii, radii[1:]))
-    out.append(
-        _inside(
-            "mono.bessel-sqrt.increasing",
-            Family.BESSEL_SQRT.value,
-            None,
-            worst,
-            0.0,
-            math.inf,
-            note="smallest consecutive increment over the grid",
+    if len(radii) >= 2:  # an increment needs two grid points
+        out.append(
+            _inside(
+                "mono.bessel-sqrt.increasing",
+                Family.BESSEL_SQRT.value,
+                None,
+                min(b - a for a, b in zip(radii, radii[1:])),
+                0.0,
+                math.inf,
+                note="smallest consecutive increment over the grid",
+            )
         )
-    )
     for p in config.struve_grid:
         r_v = cache(Family.STRUVE_CIRCLE, p).radius
         r_phi = cache(Family.BESSEL_CIRCLE, p).radius
@@ -428,6 +428,8 @@ def _check_monotonicity(
                 math.inf,
             )
         )
+    if not config.struve_grid:
+        return
     r_half = cache(Family.STRUVE_CIRCLE, 0.5).radius
     worst_gap = min(r_half - cache(Family.STRUVE_CIRCLE, p).radius for p in config.struve_grid)
     slack = _tolerance(config, "mono.struve-circle.max-at-half")
@@ -563,9 +565,10 @@ def explore_interlacing(nu: float, count: int = 8) -> InterlacingReport:
     """Numerically probe whether the two derivative-combination zero sets
     interlace at the given Struve order.
 
-    Both combinations are scanned from one dense ODE solution each; the
-    merged table and the strictness verdict are evidence for an open
-    question, nothing more.
+    Both combinations are sign-scanned on one Taylor continuation each (the
+    zero engine of :mod:`radii.roots`), which supplies value and slope
+    together; the merged table and the strictness verdict are evidence for
+    an open question, nothing more.
     """
     if not 1 <= count <= MAX_ZERO_INDEX:
         raise OrderError(f"interlacing table supports 1..{MAX_ZERO_INDEX} zeros, got {count}")

@@ -20,14 +20,14 @@ from radii.cli import main
 
 GOLDEN = {
     ("verify", "--format", "json"):
-        "ffe783c9234ca3a2f2d0fe6d8e20e9465785941fd122693b280aeb0f3bb32de0",
+        "d68e15c641d7053d2be7ba6cbdc8678e7246a4c8586e78c8f9455ddcae00da69",
     ("bounds", "--family", "all", "--range", "-0.9", "0.9", "0.05",
      "--k", "6", "--source", "both", "--format", "csv"):
         "d0446fb4bce49df9fd98b553ce112a84d85303bce52ab6a81d829e5eacf1395d",
     ("radius", "--family", "all", "--range", "-0.9", "0.9", "0.05", "--format", "csv"):
         "21836e76f4646156408f4130fb7dd8ca1c6a34ad06380ba6cad47e5f23d2a4ef",
     ("explore-interlace", "--format", "json"):
-        "81cb3e53537f8dabc7c4a27c3367c184fa9e8499651da166bcabb0a5e4252daf",
+        "7038d597cc2ed6a935071cee4e50be715bf27ccc82cfd0bb32f6b9798b00eb16",
 }
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -12,7 +13,9 @@ from radii import (
     OrderError,
     base_function_zeros,
     crude_upper_bound,
+    default_config,
     equation_residual,
+    explore_interlacing,
     find_first_function_zero,
     find_radius,
 )
@@ -262,3 +265,153 @@ def test_import_leaves_numpy_and_scipy_to_the_ode_engine():
     loaded, first_zero = done.stdout.splitlines()
     assert loaded == "[]"
     assert float(first_zero) == pytest.approx(FIRST_ZERO_ORDER0, abs=1e-9)
+
+
+# Zeros of J_0, J_1 and H_0, from mpmath 1.3.0 at 40 digits (besseljzero, and
+# findroot on struveh), rounded to 32 significant digits.
+MPMATH_ZEROS = {
+    (Base.BESSEL, 0.0): (
+        "2.4048255576957727686216318793265", "5.520078110286310649596604112813",
+        "8.6537279129110122169541987126609", "11.791534439014281613743044911925",
+        "14.930917708487785947762593997389", "18.071063967910922543147882975618",
+        "21.211636629879258959078393350526", "24.352471530749302737057944763179",
+        "27.493479132040254795877288234607", "30.634606468431975117549578926854",
+        "33.775820213573568684238546346715", "36.917098353664043979769493063273",
+        "40.058425764628239294799307373994", "43.199791713176730357524072728743",
+        "46.341188371661814018685788879113", "49.482609897397817173602761533178",
+        "52.624051841114996029251285380392", "55.765510755019979311683492773462",
+        "58.906983926080942132834406634616", "62.048469190227169882852500264651",
+    ),
+    (Base.BESSEL, 1.0): (
+        "3.8317059702075123156144358863082", "7.0155866698156187535370499814765",
+        "10.173468135062722077185711776776", "13.323691936314223032393684126948",
+        "16.47063005087763281255246047099", "19.615858510468242021125065884138",
+        "22.760084380592771898053005152182", "25.90367208761838262549585544598",
+        "29.046828534916855066647819883532", "32.18967991097440362662298410446",
+        "35.332307550083865102634479022519", "38.474766234771615112052197557717",
+        "41.61709421281445088586351680506", "44.759318997652821732779352713212",
+        "47.901460887185447121274008722508", "51.043535183571509468733034633224",
+        "54.185553641061320532099966214534", "57.327525437901010745090504243751",
+        "60.469457845347491559398749808383", "63.611356698481232631039762417874",
+    ),
+    (Base.STRUVE, 0.0): (
+        "4.333237820406421670532399270933", "6.7810276398620777841931906690052",
+        "10.469205239059108256123361835029", "13.140494713271764214522544557825",
+        "16.696713198336852964628979264223", "19.459941243671420603223824797785",
+        "22.94902763048870300923983185415", "25.765365242768551374631081021684",
+        "29.212012614764502308030395022296", "32.063972696689304627591220203457",
+        "35.480693261214837807593567564793", "38.358663361236363109271459304272",
+        "41.752825124977431293918902512913", "44.650859066299062833216919623559",
+        "48.027231099367980419000625041187", "50.941349779514969122261739375613",
+        "54.303227685483006646684968058598", "57.230614226508549911704065628794",
+        "60.580387645298572013022688765113", "63.518961720750884971421177639979",
+    ),
+}
+
+PI = decimal.Decimal("3.14159265358979323846264338327950288")
+
+# Lommel zero tables of the earlier scipy DOP853 engine (rtol 1e-12).
+DOP853_LOMMEL_ZEROS = {
+    -0.5: (
+        2.2974395736081856, 5.517618880986459, 8.628725654865812, 11.787772022079311,
+        14.917746508202354, 18.06779055834694, 21.202884357568454, 24.349676359749544,
+        27.486987728264705, 30.632185734485343, 33.7706882637153, 36.91496799918758,
+        40.054196093990626, 43.19789058326751, 46.33759886720099, 49.480893534053536,
+        52.620938921119944, 55.76394621903983, 58.904238939562376, 62.04703153152913,
+    ),
+    0.25: (
+        3.6323484262350467, 6.610626154056535, 9.86643056207056, 12.918883801491354,
+        16.1347632217614, 19.212298381914138, 22.410560296665466, 25.501181065514828,
+        28.68924971692505, 31.788048107287015, 34.96937922074397, 38.07383125363523,
+        41.25033665756731, 44.35895959688299, 47.531817001140105, 50.64365978902536,
+        53.81365029013138, 56.92806347965835, 60.09573390225471, 63.212252677381734,
+    ),
+    0.5: (
+        4.196921752800777, 6.8544412429775186, 10.385004289325604, 13.196475637222703,
+        16.63178140830035, 19.507111963394372, 22.894566733249565, 25.806974352191684,
+        29.164303169618233, 32.10165409449808, 35.4377779128013, 38.393376411636616,
+        41.71353129446282, 44.683224448269954, 47.99079332039511, 50.971796750090526,
+        54.269114715468596, 57.25945449450045, 60.54821349949846, 63.54643022901949,
+    ),
+}
+
+
+def relative_errors(computed, exact) -> list[decimal.Decimal]:
+    """|computed - exact| / exact for each pair, with no binary rounding."""
+    return [abs((decimal.Decimal(c) - e) / e) for c, e in zip(computed, exact)]
+
+
+@pytest.mark.parametrize("case", list(MPMATH_ZEROS), ids=lambda c: f"{c[0].value}{c[1]:g}")
+def test_zero_tables_match_mpmath_to_an_ulp(case):
+    zeros = base_function_zeros(*case, 20)
+    exact = [decimal.Decimal(s) for s in MPMATH_ZEROS[case]]
+    assert max(relative_errors(zeros, exact)) <= decimal.Decimal("4e-16")
+
+
+def test_struve_minus_half_zeros_are_multiples_of_pi():
+    zeros = base_function_zeros(Base.STRUVE, -0.5, 20)
+    exact = [n * PI for n in range(1, 21)]
+    assert max(relative_errors(zeros, exact)) <= decimal.Decimal("4e-16")
+
+
+def test_struve_minus_half_interlacing_zeros_are_half_odd_multiples_of_pi():
+    # the normalized Struve function of order -1/2 is sin, so the zeros of
+    # its derivative are (n - 1/2) pi
+    zeros = explore_interlacing(-0.5, 20).struve_zeros
+    exact = [(n - decimal.Decimal("0.5")) * PI for n in range(1, 21)]
+    assert len(zeros) == 20
+    assert max(relative_errors(zeros, exact)) <= decimal.Decimal("4e-16")
+
+
+@pytest.mark.parametrize("mu", list(DOP853_LOMMEL_ZEROS))
+def test_lommel_zero_tables_agree_with_the_dop853_engine(mu):
+    zeros = base_function_zeros(Base.LOMMEL, mu, 20)
+    assert zeros == pytest.approx(DOP853_LOMMEL_ZEROS[mu], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "base,parameter",
+    [
+        (Base.BESSEL, -0.9), (Base.BESSEL, 0.0), (Base.BESSEL, 1.0),
+        (Base.STRUVE, -0.5), (Base.STRUVE, 0.5),
+        (Base.LOMMEL, -0.9), (Base.LOMMEL, 0.9),
+    ],
+)
+def test_taylor_steps_truncate_far_below_rounding(base, parameter):
+    x0, sol = circle_solution(base, parameter, 70.0)
+    assert sol.starts[0] == x0
+    assert sol.starts[-1] + sol.widths[-1] >= 70.0
+    assert all(len(terms) == roots.TAYLOR_TERMS for terms in sol.terms)
+    for width, terms in zip(sol.widths, sol.terms):
+        sizes = [abs(c) * width**k for k, c in enumerate(terms)]
+        assert max(sizes[-4:]) < 1e-20 * max(sizes)
+
+
+def test_default_zero_tables_need_one_solution_each(monkeypatch):
+    calls = [0]
+    solve = roots.circle_solution
+
+    def counting(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(roots, "circle_solution", counting)
+    cases = default_config().zero_sum_cases
+    for base, parameter in cases:
+        assert len(base_function_zeros(base, parameter, 20)) == 20
+    # no stretch retry fires on the default tables
+    assert calls[0] == len(cases) == 9
+
+
+def test_zero_scan_is_at_least_forty_samples_per_unit():
+    x0, sol = circle_solution(Base.BESSEL, 0.0, 30.0)
+    calls = [0]
+
+    def value(x, y):
+        calls[0] += 1
+        return y[0]
+
+    # more zeros than [x0, 30] holds, so the whole range is scanned
+    zeros = roots.zeros_from_solution(sol, x0, 30.0, value, 20)
+    assert len(zeros) == 9
+    assert calls[0] >= 40 * (30.0 - x0)

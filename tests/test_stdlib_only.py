@@ -1,0 +1,63 @@
+"""The package runs on the Python standard library alone."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import radii
+
+PACKAGE = Path(radii.__file__).resolve().parent
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+
+
+def imported_top_level_names(path: Path) -> set[str]:
+    """Top-level module names of every absolute import statement in a file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    names = imported_top_level_names(path)
+    assert names - set(sys.stdlib_module_names) - {"radii"} == set()
+
+
+def test_pyproject_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--only", "zerosum"],
+        ["verify", "--only", "mle"],
+        ["explore-interlace", "--nu=0.25", "--count", "20"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_runs_with_numpy_and_scipy_unimportable(argv):
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None  # any import raises\n"
+        "from radii.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

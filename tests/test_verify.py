@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import pytest
@@ -174,3 +175,19 @@ def test_interlacing_argument_validation():
         explore_interlacing(0.0, count=21)
     with pytest.raises(DomainError):
         explore_interlacing(0.75)
+
+
+@pytest.mark.parametrize(
+    "grids,kept",
+    [
+        ({"bessel_grid": (0.5,)}, "mono.struve-circle.max-at-half"),
+        ({"struve_grid": ()}, "mono.bessel-sqrt.increasing"),
+    ],
+    ids=["one-point-bessel-grid", "empty-struve-grid"],
+)
+def test_monotonicity_claims_need_grid_points(grids, kept):
+    # a one-point grid has no increment and an empty grid no maximum; each
+    # drops only the claim it cannot support
+    report = run_verify(dataclasses.replace(SMALL, only="mono", **grids))
+    assert [o.claim_id for o in report.outcomes] == [kept]
+    assert report.passed
