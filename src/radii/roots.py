@@ -22,14 +22,17 @@ x^2 y'' + A x y' + (x^2 + B) y = C x, so at any x0 > 0 its local Taylor
 coefficients follow from the value and slope by a five-term recurrence.  The
 solution is continued outward step by step from a series-accurate starting
 point, and each step's polynomial is sign-scanned and bisected for zeros.
-The origin is the equation's only singular point and every step stays within
-half its distance to it, so the method stays well conditioned at any
-argument reached here.  It needs only the standard library.
+Steps are built only as the scan asks for them, so the scan walks forward
+until it holds the zeros it wants; the Euler-Rayleigh bounds on the first
+zero fix where it gives up and catch a continuation that has lost its
+accuracy (large Bessel orders).  The origin is the equation's only singular
+point and every step stays within half its distance to it, so the method
+stays well conditioned at any argument reached here.  It needs only the
+standard library.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 
@@ -37,6 +40,7 @@ from .basefuncs import reduced_pair
 from .errors import OrderError, RootNotFoundError
 from .families import Base, Family, Kind, check_domain, is_extended_domain
 from .series import (
+    base_coefficient_ratio,
     derivative_evaluator,
     eval_normalized,
     eval_normalized_derivative,
@@ -229,7 +233,7 @@ def find_first_function_zero(family: Family, parameter: float) -> float:
 #: Local Taylor terms kept per continuation step.
 TAYLOR_TERMS = 32
 
-#: Zero-scan samples per unit of x (at least 200 over the scanned range).
+#: Zero-scan samples per unit of x.
 SCAN_DENSITY = 40.0
 
 
@@ -279,103 +283,88 @@ def _horner(terms: tuple[float, ...], t: float) -> tuple[float, float]:
     return value, slope
 
 
-class TaylorSolution:
-    """One ODE solution as a chain of local Taylor polynomials.
+def circle_solution(base: Base, parameter: float):
+    """Taylor continuation of the circle-normalized function, built lazily.
 
-    Step i covers [starts[i], starts[i] + widths[i]]; on it the solution is
-    sum terms[i][k] (x - starts[i])^k.  ``sol(x)`` gives (value, slope).
-    """
-
-    # a plain class: building a dataclass adds ~1 ms to every cold import
-    __slots__ = ("starts", "widths", "terms")
-
-    def __init__(
-        self,
-        starts: tuple[float, ...],
-        widths: tuple[float, ...],
-        terms: tuple[tuple[float, ...], ...],
-    ) -> None:
-        self.starts = starts
-        self.widths = widths
-        self.terms = terms
-
-    def step(self, x: float) -> int:
-        """Index of the step whose polynomial serves x."""
-        return max(bisect.bisect_right(self.starts, x) - 1, 0)
-
-    def sol(self, x: float) -> tuple[float, float]:
-        i = self.step(x)
-        return _horner(self.terms[i], x - self.starts[i])
-
-
-def circle_solution(base: Base, parameter: float, x_end: float):
-    """Taylor continuation of the circle-normalized function on [x0, x_end].
-
-    Returns (x0, sol) where sol.sol(x) yields (value, derivative).  The start
-    point x0 sits safely below the first zero (half the Rayleigh lower
-    bound), with initial values taken from the series in its accurate range.
-    Each step re-expands the solution in TAYLOR_TERMS local terms at its
-    start x and advances h = min(1, x/2): the only singular point of the
-    equation is the origin, so the neglected terms shrink at least like
-    2^-k on top of the factorial decay of an entire solution.
+    Checks the domain and takes the start values at once, then returns an
+    endless iterator of steps (start, width, terms): on [start, start + width]
+    the solution is sum terms[k] (x - start)^k.  The first step starts safely
+    below the first zero (half the Rayleigh lower bound), from series values
+    in their accurate range.  Each step re-expands the solution in
+    TAYLOR_TERMS local terms at its start x and advances h = min(1, x/2): the
+    only singular point of the equation is the origin, so the neglected
+    terms shrink at least like 2^-k on top of the factorial decay of an
+    entire solution.
     """
     fam = base.circle
     check_domain(fam, parameter)
     p = float(parameter)
-    x0 = 0.5 / math.sqrt(first_rayleigh_zero_sum(base, p))
-    if x_end <= x0:
-        raise ValueError(f"x_end={x_end!r} must exceed the start point {x0!r}")
+    x = 0.5 / math.sqrt(first_rayleigh_zero_sum(base, p))
     abc = _ode_coefficients(base, p)
-    y, dy = eval_normalized(fam, p, x0), eval_normalized_derivative(fam, p, x0)
-    starts: list[float] = []
-    widths: list[float] = []
-    polynomials: list[tuple[float, ...]] = []
-    x = x0
-    while x < x_end:
-        h = min(1.0, 0.5 * x)
-        terms = _taylor_terms(x, y, dy, abc)
-        starts.append(x)
-        widths.append(h)
-        polynomials.append(terms)
-        y, dy = _horner(terms, h)
-        x += h
-    return x0, TaylorSolution(tuple(starts), tuple(widths), tuple(polynomials))
+    y, dy = eval_normalized(fam, p, x), eval_normalized_derivative(fam, p, x)
+
+    def steps(x, y, dy):
+        while True:
+            h = min(1.0, 0.5 * x)
+            terms = _taylor_terms(x, y, dy, abc)
+            yield x, h, terms
+            y, dy = _horner(terms, h)
+            x += h
+
+    return steps(x, y, dy)
 
 
-def zeros_from_solution(sol, lo: float, hi: float, combine, count: int) -> list[float]:
-    """First ``count`` zeros of combine(x, (y, y')) on [lo, hi], by sign scan.
+def scan_window(base: Base, parameter: float, count: int) -> tuple[float, float]:
+    """(lower, limit) for a scan after the first ``count`` zeros of the base.
 
-    ``sol`` is a :class:`TaylorSolution` covering [lo, hi].  Each step's
-    polynomial is sampled SCAN_DENSITY times per unit of x (at least 200
-    times over [lo, hi]), and each sign change is bisected on that step's
-    polynomial down to adjacent floats.  Sign scanning assumes simple zeros;
-    the samples are far finer than the quasi-period of the oscillation, so
-    only genuinely non-simple zeros (a measure-zero parameter event) can be
+    With u_n the base series coefficients (u_0 = 1), the first two Rayleigh
+    sums are s1 = u_1/4 and s2 = s1^2 - u_2/8, and the Euler-Rayleigh
+    inequality puts the first zero strictly between lower = 1/sqrt(s1) and
+    sqrt(s1/s2).  A scan gives up at limit = sqrt(s1/s2) + 2.6 pi (count + 2.5),
+    far past where the zeros, about pi apart, run out.
+    """
+    u1 = base_coefficient_ratio(base, parameter, 0)
+    s1 = u1 / 4.0
+    s2 = s1 * s1 - u1 * base_coefficient_ratio(base, parameter, 1) / 8.0
+    return 1.0 / math.sqrt(s1), math.sqrt(s1 / s2) + 2.6 * math.pi * (count + 2.5)
+
+
+def zeros_from_solution(steps, combine, count: int, limit: float) -> list[float]:
+    """First ``count`` zeros of combine(x, (y, y')) along ``steps``, by sign scan.
+
+    ``steps`` comes from :func:`circle_solution`.  Each step's polynomial is
+    sampled SCAN_DENSITY times per unit of x, and each sign change is
+    bisected on that step's polynomial down to adjacent floats.  The scan
+    stops at the ``count``-th zero, building no later step, or at the first
+    step that starts beyond ``limit``, returning fewer zeros.  A non-finite
+    value at a sign change or at a step's end raises RootNotFoundError: the
+    continuation has broken down.  Sign scanning assumes simple zeros; the
+    samples are far finer than the quasi-period of the oscillation, so only
+    genuinely non-simple zeros (a measure-zero parameter event) can be
     missed.
     """
-    density = max(SCAN_DENSITY, 200.0 / (hi - lo))
     zeros: list[float] = []
-    x_prev = lo
-    f_prev = combine(lo, sol.sol(lo))
-    if f_prev == 0.0:
-        zeros.append(lo)
-    for i in range(sol.step(lo), len(sol.starts)):
-        start, terms = sol.starts[i], sol.terms[i]
-        end = min(start + sol.widths[i], hi)
-        if len(zeros) >= count or end <= x_prev:
+    f_prev = None
+    for start, width, terms in steps:
+        if start > limit:
             break
 
         def f(x, start=start, terms=terms):
             return combine(x, _horner(terms, x - start))
 
-        n = math.ceil((end - x_prev) * density)
-        left, width = x_prev, end - x_prev
+        if f_prev is None:  # the first step starts below every zero sought
+            f_prev = f(start)
+        end = start + width
+        span = end - start  # not width: it can differ in the last bit and move samples
+        n = math.ceil(span * SCAN_DENSITY)
+        x_prev = start
         for j in range(1, n + 1):
-            x = end if j == n else left + width * j / n
+            x = end if j == n else start + span * j / n
             fx = f(x)
             if fx == 0.0:
                 zeros.append(x)
             elif f_prev != 0.0 and (fx > 0.0) != (f_prev > 0.0):
+                _check_finite(fx - f_prev, x)  # NaN and inf fake sign changes
                 # 2^-52 |x| is at least one ulp of x and less than two, so
                 # bisection stops once the bracket ends are adjacent floats
                 # and returns one of them; keep the float around it where
@@ -383,31 +372,42 @@ def zeros_from_solution(sol, lo: float, hi: float, combine, count: int) -> list[
                 root = _bisect(f, x_prev, x, f(x_prev), rtol=2.0**-52)[0]
                 near = (math.nextafter(root, -math.inf), root, math.nextafter(root, math.inf))
                 zeros.append(min(near, key=lambda v: abs(f(v))))
-            x_prev, f_prev = x, fx
             if len(zeros) >= count:
-                break
+                return zeros
+            x_prev, f_prev = x, fx
+        _check_finite(f_prev, end)  # a breakdown that faked no sign change
     return zeros
+
+
+def _check_finite(value: float, x: float) -> None:
+    if not math.isfinite(value):
+        raise RootNotFoundError(f"Taylor continuation is not finite at x = {x!r}")
 
 
 def base_function_zeros(base: Base, parameter: float, count: int) -> tuple[float, ...]:
     """The first ``count`` positive zeros of the circle-normalized function.
 
-    Certified for count <= MAX_ZERO_INDEX.  The first zero agrees with the
-    series-based :func:`find_first_function_zero` to the scan tolerance.
+    Certified for count <= MAX_ZERO_INDEX.  One Taylor continuation is
+    scanned forward until it holds ``count`` zeros, giving up past the
+    :func:`scan_window` limit.  A first zero not above the Rayleigh lower
+    bound means the continuation has lost its accuracy (large Bessel
+    orders), and raises RootNotFoundError like a scan that runs out.
     """
     if not 1 <= count <= MAX_ZERO_INDEX:
         raise OrderError(
             f"zero engine certified for 1..{MAX_ZERO_INDEX} zeros, got {count}"
         )
-    fam = base.circle
-    first = find_first_function_zero(fam, parameter)
-    for stretch in (1.0, 1.6, 2.6):
-        x_end = first + math.pi * (count + 1.5) * stretch
-        x0, sol = circle_solution(base, parameter, x_end)
-        zeros = zeros_from_solution(sol, x0, x_end, lambda x, y: y[0], count)
-        if len(zeros) >= count:
-            return tuple(zeros[:count])
-    raise RootNotFoundError(
-        f"{base.value} at parameter {parameter!r}: found {len(zeros)} of "
-        f"{count} zeros; non-simple zeros are not scannable"
-    )
+    steps = circle_solution(base, parameter)
+    lower, limit = scan_window(base, parameter, count)
+    zeros = zeros_from_solution(steps, lambda x, y: y[0], count, limit)
+    if zeros and zeros[0] <= lower:
+        raise RootNotFoundError(
+            f"{base.value} at parameter {parameter!r}: first zero {zeros[0]!r} is not "
+            f"above the Rayleigh lower bound {lower!r}; the continuation is inaccurate"
+        )
+    if len(zeros) < count:
+        raise RootNotFoundError(
+            f"{base.value} at parameter {parameter!r}: found {len(zeros)} of "
+            f"{count} zeros up to {limit!r}; non-simple zeros are not scannable"
+        )
+    return tuple(zeros)

@@ -37,6 +37,7 @@ from .roots import (
     circle_solution,
     find_first_function_zero,
     find_radius,
+    scan_window,
     zeros_from_solution,
 )
 from .sums import SumSource, crude_upper_bound, first_rayleigh_zero_sum, power_sums, radius_bracket
@@ -566,7 +567,9 @@ def explore_interlacing(nu: float, count: int = 8) -> InterlacingReport:
     interlace at the given Struve order.
 
     Both combinations are sign-scanned on one Taylor continuation each (the
-    zero engine of :mod:`radii.roots`), which supplies value and slope
+    zero engine of :mod:`radii.roots`, walked forward until it holds
+    ``count`` zeros or passes the give-up point of
+    :func:`radii.roots.scan_window`), which supplies value and slope
     together; the merged table and the strictness verdict are evidence for
     an open question, nothing more.
     """
@@ -579,16 +582,11 @@ def explore_interlacing(nu: float, count: int = 8) -> InterlacingReport:
         ("struve", Base.STRUVE, lambda x, y: y[1]),
         ("bessel", Base.BESSEL, lambda x, y: x * y[1] - y[0]),
     ):
-        zeros: list[float] = []
-        for stretch in (1.0, 1.6, 2.6):
-            x_end = math.pi * (count + 2.5) * stretch
-            x0, sol = circle_solution(base, nu, x_end)
-            zeros = zeros_from_solution(sol, x0, x_end, combine, count)
-            if len(zeros) >= count:
-                break
+        steps = circle_solution(base, nu)
+        zeros = zeros_from_solution(steps, combine, count, scan_window(base, nu, count)[1])
         if len(zeros) < count:
             notes.append(f"{label}: found only {len(zeros)} of {count} zeros")
-        found[label] = tuple(zeros[:count])
+        found[label] = tuple(zeros)
     merged = tuple(
         sorted(
             [(z, "struve") for z in found["struve"]] + [(z, "bessel") for z in found["bessel"]]

@@ -28,6 +28,8 @@ GOLDEN = {
         "21836e76f4646156408f4130fb7dd8ca1c6a34ad06380ba6cad47e5f23d2a4ef",
     ("explore-interlace", "--format", "json"):
         "7038d597cc2ed6a935071cee4e50be715bf27ccc82cfd0bb32f6b9798b00eb16",
+    ("explore-interlace", "--nu=-0.25", "--nu=0.25", "--count", "20", "--format", "json"):
+        "97af0c4c718360a3c06ac827546c8f08969d83d57a363e68faa34d5d19ba2410",
 }
 
 
@@ -39,7 +41,14 @@ def digest(argv) -> tuple[int, str]:
     return code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
+def case_id(argv) -> str:
+    """The subcommand, with the zero count when one is given."""
+    if "--count" in argv:
+        return f"{argv[0]}-count{argv[argv.index('--count') + 1]}"
+    return argv[0]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=case_id)
 def test_output_matches_golden_digest(argv):
     code, sha = digest(argv)
     assert code == 0

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from radii import (
     Family,
     OrderError,
+    RootNotFoundError,
     base_function_zeros,
     crude_upper_bound,
     default_config,
@@ -22,6 +24,12 @@ from radii import (
 from radii import roots
 from radii.families import Base
 from radii.roots import circle_solution
+
+
+def steps_below(base, parameter, x_end):
+    """The Taylor continuation's steps that start below x_end."""
+    return list(itertools.takewhile(lambda s: s[0] < x_end, circle_solution(base, parameter)))
+
 
 # First and twentieth positive zeros of the order-zero Bessel base, from the
 # classical tables.
@@ -194,9 +202,11 @@ def test_zero_engine_agrees_with_series_on_first_zero(base, parameter):
 def test_ode_solution_tracks_series_in_its_accurate_range(base, family, parameter):
     from radii import eval_normalized, eval_normalized_derivative
 
-    x0, sol = circle_solution(base, parameter, 8.0)
+    steps = steps_below(base, parameter, 8.0)
+    x0 = steps[0][0]
     for x in (x0 + 0.5, 3.7, 6.2):
-        value, slope = sol.sol(x)
+        start, _, terms = next(s for s in steps if s[0] <= x <= s[0] + s[1])
+        value, slope = roots._horner(terms, x - start)
         assert float(value) == pytest.approx(
             eval_normalized(family, parameter, x), abs=1e-9
         )
@@ -378,11 +388,12 @@ def test_lommel_zero_tables_agree_with_the_dop853_engine(mu):
     ],
 )
 def test_taylor_steps_truncate_far_below_rounding(base, parameter):
-    x0, sol = circle_solution(base, parameter, 70.0)
-    assert sol.starts[0] == x0
-    assert sol.starts[-1] + sol.widths[-1] >= 70.0
-    assert all(len(terms) == roots.TAYLOR_TERMS for terms in sol.terms)
-    for width, terms in zip(sol.widths, sol.terms):
+    steps = steps_below(base, parameter, 70.0)
+    # each step starts where the previous one ends, out past x = 70
+    assert all(a[0] + a[1] == b[0] for a, b in zip(steps, steps[1:]))
+    assert steps[-1][0] + steps[-1][1] >= 70.0
+    assert all(len(terms) == roots.TAYLOR_TERMS for _, _, terms in steps)
+    for _, width, terms in steps:
         sizes = [abs(c) * width**k for k, c in enumerate(terms)]
         assert max(sizes[-4:]) < 1e-20 * max(sizes)
 
@@ -404,14 +415,101 @@ def test_default_zero_tables_need_one_solution_each(monkeypatch):
 
 
 def test_zero_scan_is_at_least_forty_samples_per_unit():
-    x0, sol = circle_solution(Base.BESSEL, 0.0, 30.0)
     calls = [0]
+    built = []
 
     def value(x, y):
         calls[0] += 1
         return y[0]
 
-    # more zeros than [x0, 30] holds, so the whole range is scanned
-    zeros = roots.zeros_from_solution(sol, x0, 30.0, value, 20)
+    def recorded(steps):
+        for step in steps:
+            built.append(step)
+            yield step
+
+    # more zeros than the steps starting up to 30 hold, so all of them are scanned
+    steps = recorded(circle_solution(Base.BESSEL, 0.0))
+    zeros = roots.zeros_from_solution(steps, value, 20, 30.0)
     assert len(zeros) == 9
-    assert calls[0] >= 40 * (30.0 - x0)
+    scanned = [s for s in built if s[0] <= 30.0]
+    assert len(scanned) == len(built) - 1  # the first step past the limit ends the scan
+    x0, (start, width, _) = scanned[0][0], scanned[-1]
+    assert start + width > 30.0
+    assert calls[0] >= 40 * (start + width - x0)
+
+
+# Zeros of J_150 and the twentieth zero of J_200, from mpmath 1.3.0
+# besseljzero at 40 digits, rounded to 32 significant digits.
+MPMATH_BESSEL150_ZEROS = (
+    "160.0545795924303599860585025973", "167.83320724264495706420557377535",
+    "174.36298553874015169037975502754", "180.25463930335540225608953004262",
+    "185.73912375383657732892937321802", "190.93435782228039121716578726307",
+    "195.91045483847074395356324088772", "200.71321855273375436646219930061",
+)
+MPMATH_BESSEL200_ZERO20 = "308.82784521096912754239023574067"
+
+
+def test_large_order_zero_tables_match_mpmath():
+    # a scan range guessed from the series first zero stops short of these
+    zeros = base_function_zeros(Base.BESSEL, 150.0, 8)
+    exact = [decimal.Decimal(s) for s in MPMATH_BESSEL150_ZEROS]
+    assert max(relative_errors(zeros, exact)) <= decimal.Decimal("4e-16")
+    zeros = base_function_zeros(Base.BESSEL, 200.0, 20)
+    assert len(zeros) == 20
+    exact = [decimal.Decimal(MPMATH_BESSEL200_ZERO20)]
+    assert max(relative_errors(zeros[-1:], exact)) <= decimal.Decimal("4e-16")
+
+
+@pytest.fixture
+def taylor_steps(monkeypatch):
+    """Record the start of every Taylor step the zero engine builds."""
+    starts = []
+    build = roots._taylor_terms
+
+    def recording(x0, *args):
+        starts.append(x0)
+        return build(x0, *args)
+
+    monkeypatch.setattr(roots, "_taylor_terms", recording)
+    return starts
+
+
+@pytest.mark.parametrize("count", [1, 20])
+def test_double_zeros_give_up_at_the_scan_limit(count, taylor_steps):
+    # the normalized Struve function of order 1/2 touches zero at 2 pi n
+    # without changing sign, so the scan runs out
+    with pytest.raises(RootNotFoundError, match=f"found 0 of {count} zeros"):
+        base_function_zeros(Base.STRUVE, 0.5, count)
+    # Euler-Rayleigh: s1/s2 = 60 at order 1/2, and the scan gives up at
+    # sqrt(s1/s2) + 2.6 pi (count + 2.5): the first step past it is the last
+    limit = math.sqrt(60.0) + 2.6 * math.pi * (count + 2.5)
+    assert roots.scan_window(Base.STRUVE, 0.5, count)[1] == pytest.approx(limit, rel=1e-15)
+    assert limit < taylor_steps[-1] <= limit + 1.0
+    assert len(taylor_steps) <= math.ceil(limit) + 1
+
+
+@pytest.mark.parametrize(
+    "order,reason",
+    [(300.0, "Rayleigh lower bound"), (500.0, "not finite"), (1000.0, "not finite")],
+)
+def test_large_order_breakdown_raises_instead_of_a_wrong_zero(order, reason):
+    # the true first zeros are 312.58, 514.86 and 1018.66; the continuation
+    # loses its accuracy first and would report a spurious zero near 19-51
+    for count in (1, 20):
+        with pytest.raises(RootNotFoundError, match=reason):
+            base_function_zeros(Base.BESSEL, order, count)
+
+
+def test_zero_tables_build_no_step_past_their_last_zero(monkeypatch, taylor_steps):
+    def no_series_scan(*args, **kwargs):
+        raise AssertionError("base_function_zeros built a series value evaluator")
+
+    monkeypatch.setattr(roots, "value_evaluator", no_series_scan)
+    total = 0
+    for base, parameter in default_config().zero_sum_cases:
+        taylor_steps.clear()
+        zeros = base_function_zeros(base, parameter, 20)
+        last = taylor_steps[-1]
+        assert last <= zeros[-1] <= last + min(1.0, 0.5 * last)
+        total += len(taylor_steps)
+    assert total == 565
