@@ -228,9 +228,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not sep or not prefix:
             raise DomainError(f"--tol expects PREFIX=VALUE, got {item!r}")
         try:
-            tol_overrides.append((prefix, float(value)))
+            tol = float(value)
         except ValueError:
             raise DomainError(f"--tol value in {item!r} is not a number") from None
+        if not tol >= 0.0:  # also NaN; inf switches the check off
+            raise DomainError(f"--tol value in {item!r} must be >= 0")
+        tol_overrides.append((prefix, tol))
     if command == "bounds":
         limit = MAX_CLOSED_BRACKET if args.source == "closed" else MAX_NEWTON_BRACKET
         if not 1 <= args.k <= limit:
@@ -333,7 +336,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt17(value) if math.isfinite(value) else ("inf" if value > 0 else "-inf")
+        return _fmt17(value)  # also inf, -inf and nan
     if value is None:
         return ""
     return str(value)
@@ -415,6 +418,8 @@ def _run(cfg: RunConfig) -> int:
         render_text = lambda: _render_table_text(rows, columns)
     elif cfg.command == "verify":
         report = run_verify(default_config(only=cfg.only, tolerance_overrides=cfg.tol_overrides))
+        if cfg.only and not report.outcomes:
+            raise DomainError(f"--only {cfg.only!r} matches no claim id")
         columns = VERIFY_COLUMNS
         rows = json_rows = [dict(vars(o)) for o in report.outcomes]
         render_text = lambda: _render_verify_text(report)

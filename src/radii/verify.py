@@ -15,9 +15,10 @@ from, so filters compose naturally:
     zerosum.<base>.*                 20-zero partial Rayleigh sums
     mle.*                            pole-expansion identity spot checks
 
-Grid order is fixed by the config, outcomes are emitted in construction
-order, and every number is a pure function of the config, so two runs of the
-same suite render byte-identically.
+Claims come in the group order of :data:`GROUPS` and, inside a group, in
+the config's grid order; every number is a pure function of the config, so
+two runs of the same suite render byte-identically.  An ``only`` prefix
+skips the facts behind the claims it drops, not just their rows.
 """
 
 from __future__ import annotations
@@ -227,10 +228,9 @@ def _inside(
     return VerificationOutcome(claim_id, family, parameter, measured, lo, hi, 0.0, ok, note)
 
 
-def _wants(config: VerifyConfig, *prefixes: str) -> bool:
-    if not config.only:
-        return True
-    return any(p.startswith(config.only) or config.only.startswith(p) for p in prefixes)
+def _wants(config: VerifyConfig, prefix: str) -> bool:
+    """Whether some claim id starting with ``prefix`` can pass the filter."""
+    return prefix.startswith(config.only) or config.only.startswith(prefix)
 
 
 def _note_for(report: RadiusReport) -> str:
@@ -242,44 +242,44 @@ def _note_for(report: RadiusReport) -> str:
     return "; ".join(parts)
 
 
-def _check_grid_brackets(
-    config: VerifyConfig, cache, out: list[VerificationOutcome]
-) -> None:
+def _check_grid(config: VerifyConfig, radius, zero_table):
+    """Per grid point: brackets, chains, crude bound, ceiling.  Each kind's
+    facts (ledgers, crude bound, first zero) are computed only when the
+    filter keeps that kind for the family."""
     for family in Family:
         name = family.value
+        bracket, chain, crude, ceiling = (
+            _wants(config, f"{kind}.{name}") for kind in ("bracket", "chain", "crude", "ceiling")
+        )
+        if not (bracket or chain or crude or ceiling):
+            continue
         for p in grid_for(config, family):
-            rep = cache(family, p)
+            rep = radius(family, p)
             note = _note_for(rep)
             r = rep.radius
-            closed_sums = power_sums(family, p, 4, SumSource.CLOSED_FORM)
-            newton_sums = power_sums(family, p, 7, SumSource.NEWTON_RECURRENCE)
-            closed = [closed_sums.bracket(k) for k in (1, 2, 3)]
-            newton = [newton_sums.bracket(k) for k in range(1, 7)]
-            for b in closed:
-                out.append(
-                    _inside(f"bracket.{name}.k{b.k}.closed", name, p, r, b.lower, b.upper, note)
-                )
-            for b in newton[3:]:
-                out.append(
-                    _inside(f"bracket.{name}.k{b.k}.newton", name, p, r, b.lower, b.upper, note)
-                )
-            for source, seq in (("closed", closed), ("newton", newton)):
-                lowers = [b.lower for b in seq]
-                uppers = [b.upper for b in seq]
-                worst_lo = min(b - a for a, b in zip(lowers, lowers[1:]))
-                worst_up = min(a - b for a, b in zip(uppers, uppers[1:]))
-                slack = _tolerance(config, f"chain.{name}")
-                out.append(
-                    _inside(f"chain.{name}.{source}.lower", name, p, worst_lo, -slack, math.inf, note)
-                )
-                out.append(
-                    _inside(f"chain.{name}.{source}.upper", name, p, worst_up, -slack, math.inf, note)
-                )
-            out.append(
-                _inside(f"crude.{name}", name, p, r, 0.0, crude_upper_bound(family, p), note)
-            )
-            ceiling = find_first_function_zero(family, p)
-            out.append(_inside(f"ceiling.{name}", name, p, r, 0.0, ceiling, note))
+            if bracket or chain:
+                closed_sums = power_sums(family, p, 4, SumSource.CLOSED_FORM)
+                newton_sums = power_sums(family, p, 7, SumSource.NEWTON_RECURRENCE)
+                closed = [closed_sums.bracket(k) for k in (1, 2, 3)]
+                newton = [newton_sums.bracket(k) for k in range(1, 7)]
+            if bracket:
+                for b in closed:
+                    yield _inside(f"bracket.{name}.k{b.k}.closed", name, p, r, b.lower, b.upper, note)
+                for b in newton[3:]:
+                    yield _inside(f"bracket.{name}.k{b.k}.newton", name, p, r, b.lower, b.upper, note)
+            if chain:
+                for source, seq in (("closed", closed), ("newton", newton)):
+                    lowers = [b.lower for b in seq]
+                    uppers = [b.upper for b in seq]
+                    worst_lo = min(b - a for a, b in zip(lowers, lowers[1:]))
+                    worst_up = min(a - b for a, b in zip(uppers, uppers[1:]))
+                    slack = _tolerance(config, f"chain.{name}")
+                    yield _inside(f"chain.{name}.{source}.lower", name, p, worst_lo, -slack, math.inf, note)
+                    yield _inside(f"chain.{name}.{source}.upper", name, p, worst_up, -slack, math.inf, note)
+            if crude:
+                yield _inside(f"crude.{name}", name, p, r, 0.0, crude_upper_bound(family, p), note)
+            if ceiling:
+                yield _inside(f"ceiling.{name}", name, p, r, 0.0, find_first_function_zero(family, p), note)
 
 
 def solve_half_pi_crossing_order() -> float:
@@ -294,185 +294,153 @@ def solve_half_pi_crossing_order() -> float:
     return crossing
 
 
-def _check_constants(
-    config: VerifyConfig, cache, out: list[VerificationOutcome]
-) -> None:
+def _check_constants(config: VerifyConfig, radius, zero_table):
     sc = Family.STRUVE_CIRCLE.value
     bc = Family.BESSEL_CIRCLE.value
-    out.append(
-        _within(
-            config,
-            "const.struve-circle.radius-at-minus-half",
-            sc,
-            -0.5,
-            cache(Family.STRUVE_CIRCLE, -0.5).radius,
-            HALF_PI,
-            note="reduces to the sine function",
-        )
+    yield _within(
+        config,
+        "const.struve-circle.radius-at-minus-half",
+        sc,
+        -0.5,
+        radius(Family.STRUVE_CIRCLE, -0.5).radius,
+        HALF_PI,
+        note="reduces to the sine function",
     )
-    out.append(
-        _within(
-            config,
-            "const.struve-circle.radius-at-half",
-            sc,
-            0.5,
-            cache(Family.STRUVE_CIRCLE, 0.5).radius,
-            RADIUS_STRUVE_AT_HALF,
-            note="root of z sin z = 1 - cos z",
-        )
+    yield _within(
+        config,
+        "const.struve-circle.radius-at-half",
+        sc,
+        0.5,
+        radius(Family.STRUVE_CIRCLE, 0.5).radius,
+        RADIUS_STRUVE_AT_HALF,
+        note="root of z sin z = 1 - cos z",
     )
     crossing = solve_half_pi_crossing_order()
-    out.append(
-        _within(
-            config,
-            "const.struve-circle.halfpi-order",
-            sc,
-            None,
-            crossing,
-            HALF_PI_CROSSING_ORDER,
-            note="order-2 lower bound crosses pi/2 here",
-        )
+    yield _within(
+        config,
+        "const.struve-circle.halfpi-order",
+        sc,
+        None,
+        crossing,
+        HALF_PI_CROSSING_ORDER,
+        note="order-2 lower bound crosses pi/2 here",
     )
-    out.append(
-        _inside(
-            "const.struve-circle.halfpi-order.radius-above",
-            sc,
-            crossing,
-            cache(Family.STRUVE_CIRCLE, crossing).radius,
-            HALF_PI,
-            math.inf,
-            note="radius exceeds its own lower bound at the crossing",
-        )
+    yield _inside(
+        "const.struve-circle.halfpi-order.radius-above",
+        sc,
+        crossing,
+        radius(Family.STRUVE_CIRCLE, crossing).radius,
+        HALF_PI,
+        math.inf,
+        note="radius exceeds its own lower bound at the crossing",
     )
-    out.append(
-        _within(
-            config,
-            "const.bessel-circle.radius-at-half",
-            bc,
-            0.5,
-            cache(Family.BESSEL_CIRCLE, 0.5).radius,
-            HALF_PI,
-            note="reduces to the sine function",
-        )
+    yield _within(
+        config,
+        "const.bessel-circle.radius-at-half",
+        bc,
+        0.5,
+        radius(Family.BESSEL_CIRCLE, 0.5).radius,
+        HALF_PI,
+        note="reduces to the sine function",
     )
 
 
-def _check_asymptotics(
-    config: VerifyConfig, cache, out: list[VerificationOutcome]
-) -> None:
+def _check_asymptotics(config: VerifyConfig, radius, zero_table):
     for nu in config.asymptotic_orders:
         tag = f"nu{nu:g}"
-        r_sqrt = cache(Family.BESSEL_SQRT, nu).radius
-        out.append(
-            _within(
-                config,
-                f"asym.bessel-sqrt.ratio.{tag}",
-                Family.BESSEL_SQRT.value,
-                nu,
-                r_sqrt / (4.0 * (nu + 1.0)),
-                1.0 - 1.0 / nu,
-                tol_scale=1.0 / (nu * nu),
-            )
+        r_sqrt = radius(Family.BESSEL_SQRT, nu).radius
+        yield _within(
+            config,
+            f"asym.bessel-sqrt.ratio.{tag}",
+            Family.BESSEL_SQRT.value,
+            nu,
+            r_sqrt / (4.0 * (nu + 1.0)),
+            1.0 - 1.0 / nu,
+            tol_scale=1.0 / (nu * nu),
         )
-        r_circ = cache(Family.BESSEL_CIRCLE, nu).radius
-        out.append(
-            _within(
-                config,
-                f"asym.bessel-circle.square.{tag}",
-                Family.BESSEL_CIRCLE.value,
-                nu,
-                r_circ * r_circ / nu,
-                2.0,
-                tol_scale=1.0 / nu,
-            )
+        r_circ = radius(Family.BESSEL_CIRCLE, nu).radius
+        yield _within(
+            config,
+            f"asym.bessel-circle.square.{tag}",
+            Family.BESSEL_CIRCLE.value,
+            nu,
+            r_circ * r_circ / nu,
+            2.0,
+            tol_scale=1.0 / nu,
         )
 
 
-def _check_monotonicity(
-    config: VerifyConfig, cache, out: list[VerificationOutcome]
-) -> None:
-    radii = [cache(Family.BESSEL_SQRT, p).radius for p in config.bessel_grid]
+def _check_monotonicity(config: VerifyConfig, radius, zero_table):
+    radii = [radius(Family.BESSEL_SQRT, p).radius for p in config.bessel_grid]
     if len(radii) >= 2:  # an increment needs two grid points
-        out.append(
-            _inside(
-                "mono.bessel-sqrt.increasing",
-                Family.BESSEL_SQRT.value,
-                None,
-                min(b - a for a, b in zip(radii, radii[1:])),
-                0.0,
-                math.inf,
-                note="smallest consecutive increment over the grid",
-            )
+        yield _inside(
+            "mono.bessel-sqrt.increasing",
+            Family.BESSEL_SQRT.value,
+            None,
+            min(b - a for a, b in zip(radii, radii[1:])),
+            0.0,
+            math.inf,
+            note="smallest consecutive increment over the grid",
         )
     for p in config.struve_grid:
-        r_v = cache(Family.STRUVE_CIRCLE, p).radius
-        r_phi = cache(Family.BESSEL_CIRCLE, p).radius
-        out.append(
-            _inside(
-                "cross.struve-circle.above-bessel",
-                Family.STRUVE_CIRCLE.value,
-                p,
-                r_v - r_phi,
-                0.0,
-                math.inf,
-            )
+        r_v = radius(Family.STRUVE_CIRCLE, p).radius
+        r_phi = radius(Family.BESSEL_CIRCLE, p).radius
+        yield _inside(
+            "cross.struve-circle.above-bessel",
+            Family.STRUVE_CIRCLE.value,
+            p,
+            r_v - r_phi,
+            0.0,
+            math.inf,
         )
-        r_w = cache(Family.STRUVE_SQRT, p).radius
-        r_psi = cache(Family.BESSEL_SQRT, p).radius
-        out.append(
-            _inside(
-                "cross.struve-sqrt.above-bessel",
-                Family.STRUVE_SQRT.value,
-                p,
-                r_w - r_psi,
-                0.0,
-                math.inf,
-            )
+        r_w = radius(Family.STRUVE_SQRT, p).radius
+        r_psi = radius(Family.BESSEL_SQRT, p).radius
+        yield _inside(
+            "cross.struve-sqrt.above-bessel",
+            Family.STRUVE_SQRT.value,
+            p,
+            r_w - r_psi,
+            0.0,
+            math.inf,
         )
     if not config.struve_grid:
         return
-    r_half = cache(Family.STRUVE_CIRCLE, 0.5).radius
-    worst_gap = min(r_half - cache(Family.STRUVE_CIRCLE, p).radius for p in config.struve_grid)
+    r_half = radius(Family.STRUVE_CIRCLE, 0.5).radius
+    worst_gap = min(r_half - radius(Family.STRUVE_CIRCLE, p).radius for p in config.struve_grid)
     slack = _tolerance(config, "mono.struve-circle.max-at-half")
-    out.append(
-        _inside(
-            "mono.struve-circle.max-at-half",
-            Family.STRUVE_CIRCLE.value,
-            0.5,
-            worst_gap,
-            -slack,
-            math.inf,
-            note="numerical check only",
-        )
+    yield _inside(
+        "mono.struve-circle.max-at-half",
+        Family.STRUVE_CIRCLE.value,
+        0.5,
+        worst_gap,
+        -slack,
+        math.inf,
+        note="numerical check only",
     )
 
 
-def _check_zero_sums(config: VerifyConfig, zero_table, out: list[VerificationOutcome]) -> None:
+def _check_zero_sums(config: VerifyConfig, radius, zero_table):
     for base, p in config.zero_sum_cases:
         zeros = zero_table(base, p, MAX_ZERO_INDEX)
         partial = sum(1.0 / (z * z) for z in zeros)
         closed = first_rayleigh_zero_sum(base, p)
-        out.append(
-            _inside(
-                f"zerosum.{base.value}.partial-below",
-                base.value,
-                p,
-                partial,
-                0.0,
-                closed,
-                note=f"first {MAX_ZERO_INDEX} zeros",
-            )
+        yield _inside(
+            f"zerosum.{base.value}.partial-below",
+            base.value,
+            p,
+            partial,
+            0.0,
+            closed,
+            note=f"first {MAX_ZERO_INDEX} zeros",
         )
-        out.append(
-            _inside(
-                f"zerosum.{base.value}.tail-within",
-                base.value,
-                p,
-                partial / closed,
-                0.95,
-                1.0,
-                note="partial over closed form",
-            )
+        yield _inside(
+            f"zerosum.{base.value}.tail-within",
+            base.value,
+            p,
+            partial / closed,
+            0.95,
+            1.0,
+            note="partial over closed form",
         )
 
 
@@ -494,45 +462,54 @@ def _pole_expansion_sides(nu: float, z: float, zeros: tuple[float, ...]) -> tupl
     return left, main + tail
 
 
-def _check_pole_expansion(config: VerifyConfig, zero_table, out: list[VerificationOutcome]) -> None:
+def _check_pole_expansion(config: VerifyConfig, radius, zero_table):
     for nu, z in config.pole_pairs:
         left, right = _pole_expansion_sides(nu, z, zero_table(Base.STRUVE, nu, MAX_ZERO_INDEX))
-        out.append(
-            _within(
-                config,
-                f"mle.struve.nu{nu:g}.z{z:g}",
-                Base.STRUVE.value,
-                nu,
-                left,
-                right,
-                tol_scale=abs(right),
-                note=f"z={z:g}; tail estimated from first Rayleigh sum",
-            )
+        yield _within(
+            config,
+            f"mle.struve.nu{nu:g}.z{z:g}",
+            Base.STRUVE.value,
+            nu,
+            left,
+            right,
+            tol_scale=abs(right),
+            note=f"z={z:g}; tail estimated from first Rayleigh sum",
         )
     for nu in config.pole_limit_orders:
         z0 = 1e-3
         left = struve_h(nu - 1.0, z0) / (z0 * struve_h(nu, z0)) - (2.0 * nu + 1.0) / (z0 * z0)
         expected = -2.0 * first_rayleigh_zero_sum(Base.STRUVE, nu)
-        out.append(
-            _within(
-                config,
-                f"mle.limit.nu{nu:g}",
-                Base.STRUVE.value,
-                nu,
-                left,
-                expected,
-                note=f"small-argument limit at z={z0:g}",
-            )
+        yield _within(
+            config,
+            f"mle.limit.nu{nu:g}",
+            Base.STRUVE.value,
+            nu,
+            left,
+            expected,
+            note=f"small-argument limit at z={z0:g}",
         )
+
+
+#: Claim groups in output order: the claim-id prefixes each can yield, and
+#: its generator over (config, radius memo, zero-table memo).
+GROUPS = (
+    (("bracket", "chain", "crude", "ceiling"), _check_grid),
+    (("const",), _check_constants),
+    (("asym",), _check_asymptotics),
+    (("mono", "cross"), _check_monotonicity),
+    (("zerosum",), _check_zero_sums),
+    (("mle",), _check_pole_expansion),
+)
 
 
 def run_verify(config: VerifyConfig | None = None) -> VerifyReport:
     """Run the claim suite described by the config and collect outcomes.
 
-    Execution order and therefore output order is fixed: grid bracket
-    claims, special constants, asymptotics, monotonicity, zero sums, pole
-    expansion.  The ``only`` filter keeps claims whose id starts with the
-    given prefix (whole groups that cannot match are skipped).
+    Output order is the order of :data:`GROUPS`.  The ``only`` filter keeps
+    claims whose id starts with the given prefix, and the facts behind the
+    claims it drops are not computed: groups that cannot match are skipped,
+    and the grid group computes ledgers, crude bounds and first zeros only
+    for the kinds and families it keeps.
 
     Each fact is computed once per run: radii and base-function zero tables
     (shared by the zero-sum and pole-expansion groups) go through memos that
@@ -542,24 +519,17 @@ def run_verify(config: VerifyConfig | None = None) -> VerifyReport:
     if config is None:
         config = default_config()
     # per-run memos, built from the module globals at call time
-    cache = functools.cache(find_radius)
+    radius = functools.cache(find_radius)
     zero_table = functools.cache(base_function_zeros)
-    out: list[VerificationOutcome] = []
-    if _wants(config, "bracket", "chain", "crude", "ceiling"):
-        _check_grid_brackets(config, cache, out)
-    if _wants(config, "const"):
-        _check_constants(config, cache, out)
-    if _wants(config, "asym"):
-        _check_asymptotics(config, cache, out)
-    if _wants(config, "mono", "cross"):
-        _check_monotonicity(config, cache, out)
-    if _wants(config, "zerosum"):
-        _check_zero_sums(config, zero_table, out)
-    if _wants(config, "mle"):
-        _check_pole_expansion(config, zero_table, out)
-    if config.only:
-        out = [o for o in out if o.claim_id.startswith(config.only)]
-    return VerifyReport(tuple(out))
+    return VerifyReport(
+        tuple(
+            outcome
+            for prefixes, check in GROUPS
+            if any(_wants(config, prefix) for prefix in prefixes)
+            for outcome in check(config, radius, zero_table)
+            if outcome.claim_id.startswith(config.only)
+        )
+    )
 
 
 def explore_interlacing(nu: float, count: int = 8) -> InterlacingReport:

@@ -260,6 +260,36 @@ def test_verify_bad_tol_syntax(capsys):
     assert "PREFIX=VALUE" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_only_matching_nothing_is_usage_error(capsys, fmt):
+    code, out, err = run_cli(capsys, "verify", "--only", "brackets", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --only 'brackets' matches no claim id\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_verify_tol_must_be_nonnegative(capsys, value):
+    code, out, err = run_cli(capsys, "verify", "--only", "const", "--tol", f"const={value}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --tol value in 'const={value}' must be >= 0\n"
+
+
+def test_verify_infinite_tol_switches_checks_off(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--only", "const", "--tol", "const=inf")
+    assert code == 0
+    assert "tol=inf" in out
+    assert out.splitlines()[-1] == "all 5 claims passed"
+
+
+def test_non_finite_cells_render_by_name():
+    assert [cli._cell(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+    row = {"a": math.nan, "b": 1.5}
+    assert cli._render_csv(("a", "b"), [row]) == "a,b\nnan,1.5\n"
+    assert cli._render_table_text([row], ("a", "b")) == "a=nan  b=1.5\n"
+
+
 def test_verify_output_is_reproducible(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--only", "const", "--format", "csv")
     code2, out2, _ = run_cli(capsys, "verify", "--only", "const", "--format", "csv")

@@ -90,6 +90,62 @@ def test_run_computes_each_ledger_and_zero_table_once(monkeypatch, small_report)
     assert calls["ledgers"] == 2 * family_points  # one closed, one Newton
 
 
+ONLY_PREFIXES = [
+    "",
+    *("bracket", "chain", "crude", "ceiling", "const", "asym", "mono", "cross", "zerosum", "mle"),
+    "bracket.lommel",
+    "chain.bessel-sqrt.newton",
+    "crude.struve",
+    "const.struve-circle.halfpi-order",
+    "mle.limit",
+]
+
+
+@pytest.mark.parametrize("prefix", ONLY_PREFIXES)
+def test_only_gives_the_full_run_filtered_by_prefix(small_report, prefix):
+    report = run_verify(dataclasses.replace(SMALL, only=prefix))
+    assert report.outcomes == tuple(
+        o for o in small_report.outcomes if o.claim_id.startswith(prefix)
+    )
+    assert report.outcomes
+
+
+# Facts computed per --only prefix on the default suite: radii, power-sum
+# ledgers, first function zeros, crude bounds and zero tables.
+GRID_ONLY = {"radii": 300, "ledgers": 0, "first_zeros": 0, "crude": 0, "zero_tables": 0}
+FACTS_BY_PREFIX = {
+    "": {"radii": 407, "ledgers": 600, "first_zeros": 300, "crude": 300, "zero_tables": 10},
+    "crude": {**GRID_ONLY, "crude": 300},
+    "bracket": {**GRID_ONLY, "ledgers": 600},
+    "chain": {**GRID_ONLY, "ledgers": 600},
+    "ceiling": {**GRID_ONLY, "first_zeros": 300},
+    "bracket.lommel": {**GRID_ONLY, "radii": 100, "ledgers": 200},
+}
+
+
+@pytest.mark.parametrize("prefix", list(FACTS_BY_PREFIX))
+def test_only_skips_the_facts_behind_dropped_claims(monkeypatch, prefix):
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, attr in (
+        ("radii", "find_radius"),
+        ("ledgers", "power_sums"),
+        ("first_zeros", "find_first_function_zero"),
+        ("crude", "crude_upper_bound"),
+        ("zero_tables", "base_function_zeros"),
+    ):
+        monkeypatch.setattr(verify, attr, counting(name, getattr(verify, attr)))
+    assert run_verify(default_config(only=prefix)).outcomes
+    assert {name: calls[name] for name in FACTS_BY_PREFIX[prefix]} == FACTS_BY_PREFIX[prefix]
+
+
 def test_extended_domain_noted_on_negative_lommel_rows(small_report):
     flagged = [
         o
