@@ -13,11 +13,11 @@ written in terms of the underlying classical function (evaluated through the
 independent reduced series of :mod:`radii.basefuncs`), and the residual of
 that equation is carried in the report.
 
-Zeros of the circle-normalized base functions beyond the first cannot be
-taken from the power series in binary64: out where the 20th zero lives the
-alternating terms peak around e^x and cancellation destroys every digit.
-Those zeros instead come from the classical Taylor-series method for ODEs:
-each base function, multiplied through by x^2, satisfies
+Zeros of the base functions themselves, the first included, all come from
+one engine.  The power series cannot supply them in binary64 far out: where
+the 20th zero lives the alternating terms peak around e^x and cancellation
+destroys every digit.  They come from the classical Taylor-series method for
+ODEs instead: each base function, multiplied through by x^2, satisfies
 x^2 y'' + A x y' + (x^2 + B) y = C x, so at any x0 > 0 its local Taylor
 coefficients follow from the value and slope by a five-term recurrence.  The
 solution is continued outward step by step from a series-accurate starting
@@ -25,10 +25,10 @@ point, and each step's polynomial is sign-scanned and bisected for zeros.
 Steps are built only as the scan asks for them, so the scan walks forward
 until it holds the zeros it wants; the Euler-Rayleigh bounds on the first
 zero fix where it gives up and catch a continuation that has lost its
-accuracy (large Bessel orders).  The origin is the equation's only singular
-point and every step stays within half its distance to it, so the method
-stays well conditioned at any argument reached here.  It needs only the
-standard library.
+accuracy (large Bessel orders) or a scan that stepped over a close pair.
+The origin is the equation's only singular point and every step stays
+within half its distance to it, so the method stays well conditioned at
+any argument reached here.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .series import (
     derivative_evaluator,
     eval_normalized,
     eval_normalized_derivative,
-    value_evaluator,
 )
 from .sums import (
     BracketInterval,
@@ -106,20 +105,18 @@ def _bisect(
     return mid, iterations, hi - lo <= xtol + rtol * abs(mid)
 
 
-def _march(f, x: float, fx: float, step: float, growth: float, limit: float):
+def _march(f, x: float, fx: float, step: float, limit: float):
     """Step forward from x, where f(x) = fx > 0, until f is no longer positive.
 
-    Each step is ``growth`` times the previous one, and no point beyond
-    ``limit`` is evaluated.  Returns a bracket (lo, hi, f(lo)) for _bisect,
-    with lo == hi at an exact zero, or None once the next point passes the
-    limit.  A NaN value ends the march like a sign change.
+    No point beyond ``limit`` is evaluated.  Returns a bracket (lo, hi, f(lo))
+    for _bisect, with lo == hi at an exact zero, or None once the next point
+    passes the limit.  A NaN value ends the march like a sign change.
     """
     while (x_new := x + step) <= limit:
         f_new = f(x_new)
         if not f_new > 0.0:
             return (x_new if f_new == 0.0 else x), x_new, fx
         x, fx = x_new, f_new
-        step *= growth
     return None
 
 
@@ -176,7 +173,7 @@ def find_radius(family: Family, parameter: float) -> RadiusReport:
     if not (flo > 0.0 and fhi < 0.0):
         limit = 1.5 * crude_upper_bound(family, p)
         # the derivative equals 1 at the origin
-        found = _march(f, 0.0, 1.0, bracket3.lower / 64.0, 1.0, limit)
+        found = _march(f, 0.0, 1.0, bracket3.lower / 64.0, limit)
         if found is None:
             raise RootNotFoundError(
                 f"{family.value} at parameter {p!r}: no derivative sign change "
@@ -198,37 +195,7 @@ def find_radius(family: Family, parameter: float) -> RadiusReport:
     )
 
 
-def find_first_function_zero(family: Family, parameter: float) -> float:
-    """Smallest positive zero of the normalized function itself.
-
-    The first Rayleigh sum gives a certified lower bound for the zero, so the
-    scan starts at half that bound and grows geometrically until the sign
-    flips; bisection then sharpens the bracket.  Intended for parameters
-    where the plain series is binary64-stable (moderate orders).
-    """
-    check_domain(family, parameter)
-    p = float(parameter)
-    total = first_rayleigh_zero_sum(family.base, p)
-    if family.kind is Kind.CIRCLE:
-        start = 0.5 / math.sqrt(total)  # first zero exceeds 1/sqrt(sum)
-    else:
-        start = 0.25 / total  # squared variable: first zero exceeds 1/sum
-    f = value_evaluator(family, p)
-    fx = f(start)
-    if not fx > 0.0:
-        raise RootNotFoundError(
-            f"{family.value} at parameter {p!r}: series not positive at scan start"
-        )
-    found = _march(f, start, fx, start / 4.0, 1.25, 1e6)
-    if found is None:
-        raise RootNotFoundError(
-            f"{family.value} at parameter {p!r}: no function zero found below 1e6"
-        )
-    zero, _, _ = _bisect(f, *found)
-    return zero
-
-
-# --- Taylor-series continuation for zeros beyond the series' reach -------
+# --- Taylor-series continuation: the zero engine --------------------------
 
 #: Local Taylor terms kept per continuation step.
 TAYLOR_TERMS = 32
@@ -314,19 +281,20 @@ def circle_solution(base: Base, parameter: float):
     return steps(x, y, dy)
 
 
-def scan_window(base: Base, parameter: float, count: int) -> tuple[float, float]:
-    """(lower, limit) for a scan after the first ``count`` zeros of the base.
+def scan_window(base: Base, parameter: float, count: int) -> tuple[float, float, float]:
+    """(lower, upper, limit) for a scan after the first ``count`` zeros of the base.
 
     With u_n the base series coefficients (u_0 = 1), the first two Rayleigh
     sums are s1 = u_1/4 and s2 = s1^2 - u_2/8, and the Euler-Rayleigh
     inequality puts the first zero strictly between lower = 1/sqrt(s1) and
-    sqrt(s1/s2).  A scan gives up at limit = sqrt(s1/s2) + 2.6 pi (count + 2.5),
+    upper = sqrt(s1/s2).  A scan gives up at limit = upper + 2.6 pi (count + 2.5),
     far past where the zeros, about pi apart, run out.
     """
     u1 = base_coefficient_ratio(base, parameter, 0)
     s1 = u1 / 4.0
     s2 = s1 * s1 - u1 * base_coefficient_ratio(base, parameter, 1) / 8.0
-    return 1.0 / math.sqrt(s1), math.sqrt(s1 / s2) + 2.6 * math.pi * (count + 2.5)
+    upper = math.sqrt(s1 / s2)
+    return 1.0 / math.sqrt(s1), upper, upper + 2.6 * math.pi * (count + 2.5)
 
 
 def zeros_from_solution(steps, combine, count: int, limit: float) -> list[float]:
@@ -389,21 +357,28 @@ def base_function_zeros(base: Base, parameter: float, count: int) -> tuple[float
 
     Certified for count <= MAX_ZERO_INDEX.  One Taylor continuation is
     scanned forward until it holds ``count`` zeros, giving up past the
-    :func:`scan_window` limit.  A first zero not above the Rayleigh lower
-    bound means the continuation has lost its accuracy (large Bessel
-    orders), and raises RootNotFoundError like a scan that runs out.
+    :func:`scan_window` limit.  A first zero outside the Euler-Rayleigh
+    bounds raises RootNotFoundError like a scan that runs out: not above
+    the lower bound, the continuation has lost its accuracy (large Bessel
+    orders); not below the upper bound, the sign scan stepped over a pair
+    of zeros too close to tell apart.
     """
     if not 1 <= count <= MAX_ZERO_INDEX:
         raise OrderError(
             f"zero engine certified for 1..{MAX_ZERO_INDEX} zeros, got {count}"
         )
     steps = circle_solution(base, parameter)
-    lower, limit = scan_window(base, parameter, count)
+    lower, upper, limit = scan_window(base, parameter, count)
     zeros = zeros_from_solution(steps, lambda x, y: y[0], count, limit)
     if zeros and zeros[0] <= lower:
         raise RootNotFoundError(
             f"{base.value} at parameter {parameter!r}: first zero {zeros[0]!r} is not "
             f"above the Rayleigh lower bound {lower!r}; the continuation is inaccurate"
+        )
+    if zeros and zeros[0] >= upper:
+        raise RootNotFoundError(
+            f"{base.value} at parameter {parameter!r}: first zero {zeros[0]!r} is not "
+            f"below the Rayleigh upper bound {upper!r}; the scan skipped a close pair"
         )
     if len(zeros) < count:
         raise RootNotFoundError(
@@ -411,3 +386,21 @@ def base_function_zeros(base: Base, parameter: float, count: int) -> tuple[float
             f"{count} zeros up to {limit!r}; non-simple zeros are not scannable"
         )
     return tuple(zeros)
+
+
+def find_first_function_zero(family: Family, parameter: float) -> float:
+    """Smallest positive zero of the normalized function itself.
+
+    A sqrt family is its circle family in the squared variable, so both
+    read the first zero of one Taylor continuation of the base
+    (:func:`base_function_zeros`), squared for the sqrt kind.
+    """
+    check_domain(family, parameter)
+    p = float(parameter)
+    if family.base is Base.STRUVE and p == 0.5:
+        # H_(1/2) is proportional to 1 - cos x: its zeros 2 pi n are double,
+        # with no sign change for a scan to find, so the first one is pinned
+        zero = 2.0 * math.pi
+    else:
+        zero = base_function_zeros(family.base, p, 1)[0]
+    return zero if family.kind is Kind.CIRCLE else zero * zero

@@ -22,8 +22,8 @@ these c_n feed both the series evaluators here and the zero-sum machinery in
 All arithmetic is plain binary64 using ratio recurrences; no Gamma values
 are ever formed, so large orders (nu of order 10^3) stay representable.
 
-Callers that evaluate one family member many times, such as the root finders
-in :mod:`radii.roots`, build a :func:`derivative_evaluator` or
+Callers that evaluate one family member many times, such as the radius
+finder in :mod:`radii.roots`, build a :func:`derivative_evaluator` or
 :func:`value_evaluator` once.  It checks the domain, resolves the term budget
 and computes each coefficient ratio once, and then gives the same bits as
 :func:`eval_normalized_derivative` / :func:`eval_normalized`, which are

@@ -28,7 +28,7 @@ import functools
 import math
 
 from .errors import OrderError
-from .families import Base, Family
+from .families import Base, Family, Kind
 from .basefuncs import struve_h
 from .roots import (
     MAX_ZERO_INDEX,
@@ -245,7 +245,9 @@ def _note_for(report: RadiusReport) -> str:
 def _check_grid(config: VerifyConfig, radius, zero_table):
     """Per grid point: brackets, chains, crude bound, ceiling.  Each kind's
     facts (ledgers, crude bound, first zero) are computed only when the
-    filter keeps that kind for the family."""
+    filter keeps that kind for the family.  Both kinds of a base share one
+    first zero per parameter, the sqrt kind's being its square."""
+    first_zero = functools.cache(find_first_function_zero)  # keyed by the circle family
     for family in Family:
         name = family.value
         bracket, chain, crude, ceiling = (
@@ -279,7 +281,10 @@ def _check_grid(config: VerifyConfig, radius, zero_table):
             if crude:
                 yield _inside(f"crude.{name}", name, p, r, 0.0, crude_upper_bound(family, p), note)
             if ceiling:
-                yield _inside(f"ceiling.{name}", name, p, r, 0.0, find_first_function_zero(family, p), note)
+                zero = first_zero(family.base.circle, p)
+                if family.kind is Kind.SQRT:
+                    zero *= zero
+                yield _inside(f"ceiling.{name}", name, p, r, 0.0, zero, note)
 
 
 def solve_half_pi_crossing_order() -> float:
@@ -553,7 +558,7 @@ def explore_interlacing(nu: float, count: int = 8) -> InterlacingReport:
         ("bessel", Base.BESSEL, lambda x, y: x * y[1] - y[0]),
     ):
         steps = circle_solution(base, nu)
-        zeros = zeros_from_solution(steps, combine, count, scan_window(base, nu, count)[1])
+        zeros = zeros_from_solution(steps, combine, count, scan_window(base, nu, count)[2])
         if len(zeros) < count:
             notes.append(f"{label}: found only {len(zeros)} of {count} zeros")
         found[label] = tuple(zeros)

@@ -20,7 +20,7 @@ from radii.cli import main
 
 GOLDEN = {
     ("verify", "--format", "json"):
-        "d68e15c641d7053d2be7ba6cbdc8678e7246a4c8586e78c8f9455ddcae00da69",
+        "800ae6240b8cbb6ca67728a2dafaad4fcb07138a2b90d579fd21e6eaebb41216",
     ("bounds", "--family", "all", "--range", "-0.9", "0.9", "0.05",
      "--k", "6", "--source", "both", "--format", "csv"):
         "d0446fb4bce49df9fd98b553ce112a84d85303bce52ab6a81d829e5eacf1395d",

