@@ -8,6 +8,10 @@ Four subcommands cover the library surface:
 * ``explore-interlace``  numerical zero tables for the open interlacing
   question
 
+Each subcommand is one function, registered on its subparser, that reads the
+parsed arguments and returns its columns, rows, text renderer and exit code;
+``main`` renders the result once.
+
 Output formats are text (default), csv and json.  CSV columns are fixed and
 floats carry 17 significant digits; JSON output is ``{"schema_version": 1,
 "command": ..., "rows": [...]}`` with keys matching the CSV columns.
@@ -62,24 +66,6 @@ environment:
 
 exit codes: 0 ok, 1 failed verify claims, 2 usage/domain error, 3 numerics
 """ % MAX_TERMS_ENV
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from argv."""
-
-    command: str
-    families: tuple[Family, ...] = ()
-    parameters: tuple[float, ...] = ()
-    strict_domain: bool = False
-    k: int = 3
-    source: str = "closed"
-    fmt: str = "text"
-    out: str | None = None
-    only: str = ""
-    tol_overrides: tuple[tuple[str, float], ...] = ()
-    nus: tuple[float, ...] = ()
-    count: int = 8
 
 
 def _fmt17(x: float) -> str:
@@ -148,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         % (MAX_CLOSED_BRACKET, MAX_NEWTON_BRACKET),
     )
     _add_output(bounds)
+    bounds.set_defaults(run=_bounds)
 
     radius = sub.add_parser(
         "radius",
@@ -157,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_selection(radius)
     _add_output(radius)
+    radius.set_defaults(run=_radius)
 
     verify = sub.add_parser(
         "verify",
@@ -172,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the tolerance for claims whose id starts with PREFIX (repeatable)",
     )
     _add_output(verify)
+    verify.set_defaults(run=_verify)
 
     explore = sub.add_parser(
         "explore-interlace",
@@ -189,89 +178,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument("--count", type=int, default=8, help=f"zeros per combination (max {MAX_ZERO_INDEX})")
     _add_output(explore)
+    explore.set_defaults(run=_interlace)
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    families: tuple[Family, ...] = ()
-    parameters: tuple[float, ...] = ()
-    strict = False
-    if command in ("bounds", "radius"):
-        try:
-            families = tuple(Family) if args.family == "all" else (family_from_cli_name(args.family),)
-        except DomainError as exc:
-            raise DomainError(f"{exc}, all") from None
-        if args.param is not None:
-            parameters = (float(args.param),)
-            strict = len(families) == 1
-        else:
-            lo, hi, step = args.range
-            for name, value in zip(("START", "STOP", "STEP"), args.range):
-                if not math.isfinite(value):
-                    raise DomainError(f"range {name} must be finite, got {value!r}")
-            if step <= 0.0:
-                raise DomainError(f"range STEP must be positive, got {step!r}")
-            if hi < lo:
-                raise DomainError(f"range STOP {hi!r} is below START {lo!r}")
-            span = (hi - lo) / step + 1e-9
-            if not span < MAX_SWEEP_POINTS:  # also an overflowed span; checked before allocating
-                raise DomainError(
-                    f"range {lo!r}..{hi!r} by {step!r} has more than "
-                    f"{MAX_SWEEP_POINTS} points; use a larger STEP"
-                )
-            n = int(math.floor(span)) + 1
-            parameters = tuple(lo + i * step for i in range(n))
-    tol_overrides: list[tuple[str, float]] = []
-    for item in getattr(args, "tol", []):
-        prefix, sep, value = item.partition("=")
-        if not sep or not prefix:
-            raise DomainError(f"--tol expects PREFIX=VALUE, got {item!r}")
-        try:
-            tol = float(value)
-        except ValueError:
-            raise DomainError(f"--tol value in {item!r} is not a number") from None
-        if not tol >= 0.0:  # also NaN; inf switches the check off
-            raise DomainError(f"--tol value in {item!r} must be >= 0")
-        tol_overrides.append((prefix, tol))
-    if command == "bounds":
-        limit = MAX_CLOSED_BRACKET if args.source == "closed" else MAX_NEWTON_BRACKET
-        if not 1 <= args.k <= limit:
-            raise DomainError(
-                f"--k must be in 1..{limit} for source {args.source!r}, got {args.k}"
-            )
-    count = getattr(args, "count", 8)
-    if command == "explore-interlace" and not 1 <= count <= MAX_ZERO_INDEX:
-        raise DomainError(f"--count must be in 1..{MAX_ZERO_INDEX}, got {count}")
-    return RunConfig(
-        command=command,
-        families=families,
-        parameters=parameters,
-        strict_domain=strict,
-        k=getattr(args, "k", 3),
-        source=getattr(args, "source", "closed"),
-        fmt=args.format,
-        out=args.out,
-        only=getattr(args, "only", ""),
-        tol_overrides=tuple(tol_overrides),
-        nus=tuple(args.nu) if getattr(args, "nu", None) else (-0.5, 0.0, 0.5),
-        count=count,
-    )
+def _points(args: argparse.Namespace):
+    """Check the --family and --param/--range selection now; return its points lazily.
 
-
-def _valid_points(cfg: RunConfig):
-    """Yield (family, parameter) pairs, skipping or rejecting bad ones.
-
-    A single explicitly requested pair fails hard; sweeps and all-family
-    selections skip invalid points with a warning on stderr.
+    The returned generator yields (family, parameter) pairs and checks each
+    against its family's domain as it goes: a single explicitly requested
+    pair fails hard, while sweeps and all-family selections skip invalid
+    points with a warning on stderr.
     """
+    try:
+        families = tuple(Family) if args.family == "all" else (family_from_cli_name(args.family),)
+    except DomainError as exc:
+        raise DomainError(f"{exc}, all") from None
+    if args.param is not None:
+        return _valid_points(families, (float(args.param),), strict=len(families) == 1)
+    lo, hi, step = args.range
+    for name, value in zip(("START", "STOP", "STEP"), args.range):
+        if not math.isfinite(value):
+            raise DomainError(f"range {name} must be finite, got {value!r}")
+    if step <= 0.0:
+        raise DomainError(f"range STEP must be positive, got {step!r}")
+    if hi < lo:
+        raise DomainError(f"range STOP {hi!r} is below START {lo!r}")
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:  # also an overflowed span; checked before allocating
+        raise DomainError(
+            f"range {lo!r}..{hi!r} by {step!r} has more than "
+            f"{MAX_SWEEP_POINTS} points; use a larger STEP"
+        )
+    n = int(math.floor(span)) + 1
+    # lo + i*step can round past an included STOP; the sweep ends at STOP itself
+    parameters = tuple(min(lo + i * step, hi) for i in range(n))
+    return _valid_points(families, parameters, strict=False)
+
+
+def _valid_points(families, parameters, strict: bool):
     emitted = False
-    for family in cfg.families:
-        for p in cfg.parameters:
+    for family in families:
+        for p in parameters:
             try:
                 check_domain(family, p)
             except DomainError as exc:
-                if cfg.strict_domain:
+                if strict:
                     raise
                 print(f"warning: skipping {exc}", file=sys.stderr)
                 continue
@@ -281,17 +233,21 @@ def _valid_points(cfg: RunConfig):
         raise DomainError("selection contains no valid (family, parameter) points")
 
 
-def _bounds_rows(cfg: RunConfig) -> list[dict]:
+def _bounds(args: argparse.Namespace):
+    points = _points(args)
+    limit = MAX_CLOSED_BRACKET if args.source == "closed" else MAX_NEWTON_BRACKET
+    if not 1 <= args.k <= limit:
+        raise DomainError(f"--k must be in 1..{limit} for source {args.source!r}, got {args.k}")
     sources = {
         "closed": (SumSource.CLOSED_FORM,),
         "newton": (SumSource.NEWTON_RECURRENCE,),
         "both": (SumSource.CLOSED_FORM, SumSource.NEWTON_RECURRENCE),
-    }[cfg.source]
+    }[args.source]
     rows = []
-    for family, p in _valid_points(cfg):
+    for family, p in points:
         for source in sources:
-            limit = min(cfg.k, MAX_CLOSED_BRACKET) if source is SumSource.CLOSED_FORM else cfg.k
-            for k in range(1, limit + 1):
+            top = min(args.k, MAX_CLOSED_BRACKET) if source is SumSource.CLOSED_FORM else args.k
+            for k in range(1, top + 1):
                 b = radius_bracket(family, p, k, source)
                 rows.append(
                     {
@@ -303,12 +259,12 @@ def _bounds_rows(cfg: RunConfig) -> list[dict]:
                         "source": source.value,
                     }
                 )
-    return rows
+    return BOUNDS_COLUMNS, rows, rows, lambda: _render_table_text(rows, BOUNDS_COLUMNS), EXIT_OK
 
 
-def _radius_rows(cfg: RunConfig) -> list[dict]:
+def _radius(args: argparse.Namespace):
     rows = []
-    for family, p in _valid_points(cfg):
+    for family, p in _points(args):
         rep = find_radius(family, p)
         rows.append(
             {
@@ -321,15 +277,51 @@ def _radius_rows(cfg: RunConfig) -> list[dict]:
                 "hi3": rep.bracket3.upper,
             }
         )
-    return rows
+    return RADIUS_COLUMNS, rows, rows, lambda: _render_table_text(rows, RADIUS_COLUMNS), EXIT_OK
 
 
-def _interlace_rows(reports) -> list[dict]:
-    rows = []
-    for rep in reports:
-        for index, (zero, source) in enumerate(rep.merged, start=1):
-            rows.append({"nu": rep.nu, "index": index, "source": source, "zero": zero})
-    return rows
+def _verify(args: argparse.Namespace):
+    tol_overrides = []
+    for item in args.tol:
+        prefix, sep, value = item.partition("=")
+        if not sep or not prefix:
+            raise DomainError(f"--tol expects PREFIX=VALUE, got {item!r}")
+        try:
+            tol = float(value)
+        except ValueError:
+            raise DomainError(f"--tol value in {item!r} is not a number") from None
+        if not tol >= 0.0:  # also NaN; inf switches the check off
+            raise DomainError(f"--tol value in {item!r} must be >= 0")
+        tol_overrides.append((prefix, tol))
+    report = run_verify(default_config(only=args.only, tolerance_overrides=tuple(tol_overrides)))
+    if args.only and not report.outcomes:
+        raise DomainError(f"--only {args.only!r} matches no claim id")
+    rows = [dict(vars(o)) for o in report.outcomes]
+    code = EXIT_OK if report.passed else EXIT_CLAIMS_FAILED
+    return VERIFY_COLUMNS, rows, rows, lambda: _render_verify_text(report), code
+
+
+def _interlace(args: argparse.Namespace):
+    if not 1 <= args.count <= MAX_ZERO_INDEX:
+        raise DomainError(f"--count must be in 1..{MAX_ZERO_INDEX}, got {args.count}")
+    reports = [explore_interlacing(nu, args.count) for nu in args.nu or (-0.5, 0.0, 0.5)]
+    rows = [
+        {"nu": rep.nu, "index": index, "source": source, "zero": zero}
+        for rep in reports
+        for index, (zero, source) in enumerate(rep.merged, start=1)
+    ]
+    json_rows = [
+        {
+            "nu": rep.nu,
+            "count": rep.count,
+            "struve_zeros": list(rep.struve_zeros),
+            "bessel_zeros": list(rep.bessel_zeros),
+            "strict": rep.strict,
+            "note": rep.note,
+        }
+        for rep in reports
+    ]
+    return INTERLACE_COLUMNS, rows, json_rows, lambda: _render_interlace_text(reports), EXIT_OK
 
 
 def _cell(value) -> str:
@@ -402,53 +394,6 @@ def _render_interlace_text(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _run(cfg: RunConfig) -> int:
-    code = EXIT_OK
-    if cfg.command in ("bounds", "radius"):
-        columns = BOUNDS_COLUMNS if cfg.command == "bounds" else RADIUS_COLUMNS
-        rows = json_rows = (_bounds_rows if cfg.command == "bounds" else _radius_rows)(cfg)
-        render_text = lambda: _render_table_text(rows, columns)
-    elif cfg.command == "verify":
-        report = run_verify(default_config(only=cfg.only, tolerance_overrides=cfg.tol_overrides))
-        if cfg.only and not report.outcomes:
-            raise DomainError(f"--only {cfg.only!r} matches no claim id")
-        columns = VERIFY_COLUMNS
-        rows = json_rows = [dict(vars(o)) for o in report.outcomes]
-        render_text = lambda: _render_verify_text(report)
-        code = EXIT_OK if report.passed else EXIT_CLAIMS_FAILED
-    else:  # explore-interlace
-        reports = [explore_interlacing(nu, cfg.count) for nu in cfg.nus]
-        columns, rows = INTERLACE_COLUMNS, _interlace_rows(reports)
-        json_rows = [
-            {
-                "nu": rep.nu,
-                "count": rep.count,
-                "struve_zeros": list(rep.struve_zeros),
-                "bessel_zeros": list(rep.bessel_zeros),
-                "strict": rep.strict,
-                "note": rep.note,
-            }
-            for rep in reports
-        ]
-        render_text = lambda: _render_interlace_text(reports)
-    if cfg.fmt == "csv":
-        text = _render_csv(columns, rows)
-    elif cfg.fmt == "json":
-        text = _render_json(cfg.command, json_rows)
-    else:
-        text = render_text()
-    _emit(cfg, text)
-    return code
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -457,8 +402,19 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        cfg = _resolve_config(args)
-        return _run(cfg)
+        columns, rows, json_rows, render_text, code = args.run(args)
+        if args.format == "csv":
+            text = _render_csv(columns, rows)
+        elif args.format == "json":
+            text = _render_json(args.command, json_rows)
+        else:
+            text = render_text()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ArithmeticError as exc:  # series truncation, lost root, float overflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -75,7 +75,6 @@ class RadiusReport:
     radius: float
     residual: float
     iterations: int
-    converged: bool
     bracket3: BracketInterval
     narrow_bracket: bool
     extended_domain: bool
@@ -84,13 +83,18 @@ class RadiusReport:
 def _bisect(
     f, lo: float, hi: float, flo: float, *,
     xtol: float = 0.0, rtol: float = REL_WIDTH,
-) -> tuple[float, int, bool]:
+) -> tuple[float, int]:
     """Shrink a sign-change bracket to width xtol + rtol*|mid|.
 
-    Returns (midpoint, evals, converged); at most MAX_BISECT evaluations.
+    Returns (midpoint, evals).  Raises RootNotFoundError if MAX_BISECT
+    evaluations leave the bracket wider than that.
     """
     iterations = 0
-    while hi - lo > xtol + rtol * abs(0.5 * (lo + hi)) and iterations < MAX_BISECT:
+    while hi - lo > xtol + rtol * abs(0.5 * (lo + hi)):
+        if iterations == MAX_BISECT:
+            raise RootNotFoundError(
+                f"bisection of [{lo!r}, {hi!r}] not converged after {MAX_BISECT} steps"
+            )
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         iterations += 1
@@ -101,8 +105,7 @@ def _bisect(
             lo = mid
         else:
             hi = mid
-    mid = 0.5 * (lo + hi)
-    return mid, iterations, hi - lo <= xtol + rtol * abs(mid)
+    return 0.5 * (lo + hi), iterations
 
 
 def _march(f, x: float, fx: float, step: float, limit: float):
@@ -180,7 +183,7 @@ def find_radius(family: Family, parameter: float) -> RadiusReport:
                 f"up to {limit!r}"
             )
         lo, hi, flo = found
-    radius, iterations, converged = _bisect(f, lo, hi, flo)
+    radius, iterations = _bisect(f, lo, hi, flo)
     residual = equation_residual(family, p, radius)
     return RadiusReport(
         family=family,
@@ -188,7 +191,6 @@ def find_radius(family: Family, parameter: float) -> RadiusReport:
         radius=radius,
         residual=residual,
         iterations=iterations,
-        converged=converged,
         bracket3=bracket3,
         narrow_bracket=bracket3.width < NARROW_BRACKET,
         extended_domain=is_extended_domain(family, p),

@@ -295,7 +295,7 @@ def solve_half_pi_crossing_order() -> float:
     constant.
     """
     g = lambda v: radius_bracket(Family.STRUVE_CIRCLE, v, 2, SumSource.CLOSED_FORM).lower - HALF_PI
-    crossing, _, _ = _bisect(g, -0.5, -0.45, g(-0.5), xtol=1e-15, rtol=0.0)
+    crossing, _ = _bisect(g, -0.5, -0.45, g(-0.5), xtol=1e-15, rtol=0.0)
     return crossing
 
 
@@ -427,7 +427,7 @@ def _check_monotonicity(config: VerifyConfig, radius, zero_table):
 def _check_zero_sums(config: VerifyConfig, radius, zero_table):
     for base, p in config.zero_sum_cases:
         zeros = zero_table(base, p, MAX_ZERO_INDEX)
-        partial = sum(1.0 / (z * z) for z in zeros)
+        partial = math.fsum(1.0 / (z * z) for z in zeros)
         closed = first_rayleigh_zero_sum(base, p)
         yield _inside(
             f"zerosum.{base.value}.partial-below",
@@ -458,10 +458,10 @@ def _pole_expansion_sides(nu: float, z: float, zeros: tuple[float, ...]) -> tupl
     the last computed zero.
     """
     left = struve_h(nu - 1.0, z) / (z * struve_h(nu, z)) - (2.0 * nu + 1.0) / (z * z)
-    partial = sum(1.0 / (h * h) for h in zeros)
+    partial = math.fsum(1.0 / (h * h) for h in zeros)
     total = first_rayleigh_zero_sum(Base.STRUVE, nu)
     z2 = z * z
-    main = sum(2.0 / (z2 - h * h) for h in zeros)
+    main = math.fsum(2.0 / (z2 - h * h) for h in zeros)
     last = zeros[-1]
     tail = -2.0 * (total - partial) * (1.0 + z2 / (last * last - z2))
     return left, main + tail

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from radii import cli
+from radii import cli, roots
 from radii.cli import main
 
 
@@ -65,6 +65,12 @@ def test_bounds_rejects_order_beyond_source_limit(capsys):
     code, _, err = run_cli(capsys, "bounds", "--family", "bessel-circle", "--param", "0", "--k", "4")
     assert code == 2
     assert "--k must be in 1..3" in err
+    # the order is checked before any sweep point, so no skip warnings come first
+    code, out, err = run_cli(
+        capsys, "bounds", "--family", "all", "--range", "0.6", "0.9", "0.1", "--k", "9"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --k must be in 1..3 for source 'closed', got 9\n"
     code, _, _ = run_cli(
         capsys, "bounds", "--family", "bessel-circle", "--param", "0", "--k", "4",
         "--source", "newton",
@@ -77,6 +83,11 @@ def test_unknown_family_is_usage_error(capsys):
     assert code == 2
     assert "unknown family" in err
     assert "lommel-sqrt, all" in err
+    # the family is checked before the order
+    code, _, err = run_cli(capsys, "bounds", "--family", "nope", "--param", "0", "--k", "9")
+    assert code == 2
+    assert err.startswith("error: unknown family 'nope'")
+    assert "--k" not in err
 
 
 def test_radius_csv_header_and_sweep_warnings(capsys):
@@ -98,6 +109,18 @@ def test_radius_csv_header_and_sweep_warnings(capsys):
         radius, lo3, hi3 = float(cells[2]), float(cells[5]), float(cells[6])
         assert lo3 < radius < hi3
         assert int(cells[4]) <= 60
+
+
+def test_inclusive_range_keeps_a_stop_that_stepping_overshoots(capsys):
+    # -0.1 + 6*0.1 rounds to 0.5000000000000001, outside the Struve domain
+    code, out, err = run_cli(
+        capsys, "radius", "--family", "struve-circle", "--range", "-0.1", "0.5", "0.1",
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + 7
+    assert lines[-1].split(",")[1] == "0.5"
 
 
 def test_radius_single_invalid_parameter_fails_hard(capsys):
@@ -155,6 +178,14 @@ def test_range_point_count_is_capped_before_allocation(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *argv, "0", "0.5", "0.1")
     assert code == 2
     assert "more than 5 points" in err
+
+
+def test_unconverged_bisection_is_numeric_error(capsys, monkeypatch):
+    monkeypatch.setattr(roots, "MAX_BISECT", 5)
+    code, out, err = run_cli(capsys, "radius", "--family", "bessel-circle", "--param", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not converged" in err
 
 
 def test_tight_term_budget_is_numeric_error(capsys, monkeypatch):
@@ -247,6 +278,15 @@ def test_verify_tolerance_override_fails_claims(capsys):
     assert "of 5 claims passed" in out
 
 
+def test_verify_failed_claims_written_to_out_file(capsys, tmp_path):
+    target = tmp_path / "claims.txt"
+    code, out, err = run_cli(
+        capsys, "verify", "--only", "const", "--tol", "const=1e-18", "--out", str(target)
+    )
+    assert (code, out, err) == (1, "", "")
+    assert "of 5 claims passed" in target.read_text(encoding="utf-8")
+
+
 def test_verify_all_pass_summary_line(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "const")
     assert code == 0
@@ -324,6 +364,12 @@ def test_explore_interlace_text_and_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "nu,index,source,zero"
     assert len(lines) == 1 + 6
+
+
+def test_explore_interlace_default_orders(capsys):
+    code, out, _ = run_cli(capsys, "explore-interlace", "--count", "2", "--format", "json")
+    assert code == 0
+    assert [row["nu"] for row in json.loads(out)["rows"]] == [-0.5, 0.0, 0.5]
 
 
 def test_explore_interlace_count_bounds(capsys):

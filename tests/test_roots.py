@@ -69,7 +69,6 @@ def test_radius_special_values():
 def test_radius_report_invariants(family):
     for parameter in SAMPLE_PARAMS[family]:
         report = find_radius(family, parameter)
-        assert report.converged
         assert report.iterations <= 60
         assert report.bracket3.lower < report.radius < report.bracket3.upper
         assert abs(report.residual) < 1e-10
@@ -124,9 +123,14 @@ def family_and_parameter(draw):
 def test_radius_always_lands_inside_its_bracket(fp):
     family, parameter = fp
     report = find_radius(family, parameter)
-    assert report.converged
     assert report.bracket3.lower < report.radius < report.bracket3.upper
     assert abs(report.residual) < 1e-9
+
+
+def test_unconverged_bisection_raises(monkeypatch):
+    monkeypatch.setattr(roots, "MAX_BISECT", 5)
+    with pytest.raises(RootNotFoundError, match="not converged after 5 steps"):
+        find_radius(Family.BESSEL_CIRCLE, 0.0)
 
 
 def test_extended_domain_flagged_on_reports():
