@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -44,7 +43,7 @@ EXIT_NUMERIC = 3
 
 BOUNDS_COLUMNS = ("family", "parameter", "k", "lower", "upper", "source")
 RADIUS_COLUMNS = ("family", "parameter", "radius", "residual", "iterations", "lo3", "hi3")
-VERIFY_COLUMNS = tuple(field.name for field in dataclasses.fields(VerificationOutcome))
+VERIFY_COLUMNS = VerificationOutcome._fields
 INTERLACE_COLUMNS = ("nu", "index", "source", "zero")
 
 #: Largest number of parameters one --range sweep may hold.
@@ -296,7 +295,7 @@ def _verify(args: argparse.Namespace):
     report = run_verify(default_config(only=args.only, tolerance_overrides=tuple(tol_overrides)))
     if args.only and not report.outcomes:
         raise DomainError(f"--only {args.only!r} matches no claim id")
-    rows = [dict(vars(o)) for o in report.outcomes]
+    rows = [o._asdict() for o in report.outcomes]
     code = EXIT_OK if report.passed else EXIT_CLAIMS_FAILED
     return VERIFY_COLUMNS, rows, rows, lambda: _render_verify_text(report), code
 
@@ -402,18 +401,22 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        columns, rows, json_rows, render_text, code = args.run(args)
-        if args.format == "csv":
-            text = _render_csv(columns, rows)
-        elif args.format == "json":
-            text = _render_json(args.command, json_rows)
-        else:
-            text = render_text()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        # --out is opened before the work, so a path that cannot be written
+        # fails at once; as with a shell redirection, the file is emptied even
+        # if the command then fails.
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+        try:
+            columns, rows, json_rows, render_text, code = args.run(args)
+            if args.format == "csv":
+                text = _render_csv(columns, rows)
+            elif args.format == "json":
+                text = _render_json(args.command, json_rows)
+            else:
+                text = render_text()
+            out.write(text)
+        finally:
+            if out is not sys.stdout:
+                out.close()
         return code
     except ArithmeticError as exc:  # series truncation, lost root, float overflow
         print(f"error: {exc}", file=sys.stderr)

@@ -33,8 +33,8 @@ any argument reached here.  It needs only the standard library.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from typing import NamedTuple
 
 from .basefuncs import reduced_pair
 from .errors import OrderError, RootNotFoundError
@@ -66,8 +66,7 @@ MAX_ZERO_INDEX = 20
 NARROW_BRACKET = 1e-10
 
 
-@dataclasses.dataclass(frozen=True)
-class RadiusReport:
+class RadiusReport(NamedTuple):
     """Computed radius of starlikeness with its certification context."""
 
     family: Family

@@ -32,8 +32,8 @@ one-call wrappers over the evaluators.
 
 from __future__ import annotations
 
-import dataclasses
 import os
+from typing import NamedTuple
 
 from .errors import TruncationError
 from .families import Base, Family, Kind, check_domain
@@ -84,8 +84,7 @@ def coefficient_ratio(family: Family, parameter: float, n: int) -> float:
     return r * (n + 2.0) / (n + 1.0)
 
 
-@dataclasses.dataclass(frozen=True)
-class CoefficientSequence:
+class CoefficientSequence(NamedTuple):
     """Transformed derivative coefficients c_0..c_N of one family instance."""
 
     family: Family

@@ -31,9 +31,9 @@ per source.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
+from typing import NamedTuple
 
 from .errors import OrderError
 from .families import Base, Family, Kind, check_domain
@@ -59,8 +59,7 @@ class SumSource(enum.Enum):
     NEWTON_RECURRENCE = "newton"
 
 
-@dataclasses.dataclass(frozen=True)
-class SumLedger:
+class SumLedger(NamedTuple):
     """Power sums p_1..p_K for one family instance, tagged by source."""
 
     family: Family
@@ -90,8 +89,7 @@ class SumLedger:
         return BracketInterval(self.family, self.parameter, k, lower, upper, self.source)
 
 
-@dataclasses.dataclass(frozen=True)
-class BracketInterval:
+class BracketInterval(NamedTuple):
     """Certified enclosure lower < radius < upper of order k."""
 
     family: Family

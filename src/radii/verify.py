@@ -23,9 +23,9 @@ skips the facts behind the claims it drops, not just their rows.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
+from typing import NamedTuple
 
 from .errors import OrderError
 from .families import Base, Family, Kind
@@ -66,8 +66,7 @@ RADIUS_STRUVE_AT_HALF = 2.33112237
 HALF_PI_CROSSING_ORDER = -0.4935034122
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     """One checked claim: measured value against its expected enclosure."""
 
     claim_id: str
@@ -81,8 +80,7 @@ class VerificationOutcome:
     note: str = ""
 
 
-@dataclasses.dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     outcomes: tuple[VerificationOutcome, ...]
 
     @property
@@ -94,8 +92,7 @@ class VerifyReport:
         return not self.failed
 
 
-@dataclasses.dataclass(frozen=True)
-class InterlacingReport:
+class InterlacingReport(NamedTuple):
     """Zeros of the two derivative combinations at one Struve order.
 
     ``struve_zeros`` solve x H' - nu H = 0, ``bessel_zeros`` solve
@@ -114,8 +111,7 @@ class InterlacingReport:
     note: str
 
 
-@dataclasses.dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     """Grids, sample points and overrides driving one verify run."""
 
     bessel_grid: tuple[float, ...]

@@ -402,6 +402,15 @@ def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_unwritable_out_path_fails_before_any_work(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "run_verify", lambda config: calls.append(config))
+    target = tmp_path / "missing" / "v.json"
+    code, out, err = run_cli(capsys, "verify", "--format", "json", "--out", str(target))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error:") and str(target) in err
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -61,3 +61,20 @@ def test_cli_runs_with_numpy_and_scipy_unimportable(argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # Start-up cost guard: `dataclasses` pulls in `inspect`, and the two add
+    # tens of milliseconds to every cold CLI call.  `-S` skips site hooks that
+    # might load either on their own.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import radii.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

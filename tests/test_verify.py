@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 
 import pytest
@@ -103,7 +102,7 @@ ONLY_PREFIXES = [
 
 @pytest.mark.parametrize("prefix", ONLY_PREFIXES)
 def test_only_gives_the_full_run_filtered_by_prefix(small_report, prefix):
-    report = run_verify(dataclasses.replace(SMALL, only=prefix))
+    report = run_verify(SMALL._replace(only=prefix))
     assert report.outcomes == tuple(
         o for o in small_report.outcomes if o.claim_id.startswith(prefix)
     )
@@ -244,6 +243,6 @@ def test_interlacing_argument_validation():
 def test_monotonicity_claims_need_grid_points(grids, kept):
     # a one-point grid has no increment and an empty grid no maximum; each
     # drops only the claim it cannot support
-    report = run_verify(dataclasses.replace(SMALL, only="mono", **grids))
+    report = run_verify(SMALL._replace(only="mono", **grids))
     assert [o.claim_id for o in report.outcomes] == [kept]
     assert report.passed
