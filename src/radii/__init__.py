@@ -9,6 +9,7 @@ claim suite (`radii verify`) covering every quantitative statement it makes.
 
 from .errors import (
     DomainError,
+    FloatRangeError,
     OrderError,
     RadiiError,
     RootNotFoundError,
@@ -40,15 +41,19 @@ from .roots import (
     find_first_function_zero,
     find_radius,
 )
-from .verify import (
-    InterlacingReport,
-    VerificationOutcome,
-    VerifyConfig,
-    VerifyReport,
-    default_config,
-    explore_interlacing,
-    run_verify,
-)
+
+#: The claim suite's names; radii.verify loads on first access, so computing
+#: radii never loads it.
+_VERIFY_NAMES = frozenset(("InterlacingReport", "VerificationOutcome", "VerifyConfig",
+                           "VerifyReport", "default_config", "explore_interlacing", "run_verify"))
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -58,6 +63,7 @@ __all__ = [
     "CoefficientSequence",
     "DomainError",
     "Family",
+    "FloatRangeError",
     "InterlacingReport",
     "Kind",
     "OrderError",

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
-import json
 import math
 import sys
 
@@ -34,7 +34,6 @@ from .families import Family, check_domain, family_from_cli_name
 from .roots import MAX_ZERO_INDEX, find_radius
 from .series import MAX_TERMS_ENV
 from .sums import MAX_CLOSED_BRACKET, MAX_NEWTON_BRACKET, SumSource, radius_bracket
-from .verify import VerificationOutcome, default_config, explore_interlacing, run_verify
 
 EXIT_OK = 0
 EXIT_CLAIMS_FAILED = 1
@@ -43,7 +42,6 @@ EXIT_NUMERIC = 3
 
 BOUNDS_COLUMNS = ("family", "parameter", "k", "lower", "upper", "source")
 RADIUS_COLUMNS = ("family", "parameter", "radius", "residual", "iterations", "lo3", "hi3")
-VERIFY_COLUMNS = VerificationOutcome._fields
 INTERLACE_COLUMNS = ("nu", "index", "source", "zero")
 
 #: Largest number of parameters one --range sweep may hold.
@@ -65,6 +63,14 @@ environment:
 
 exit codes: 0 ok, 1 failed verify claims, 2 usage/domain error, 3 numerics
 """ % MAX_TERMS_ENV
+
+
+def __getattr__(name: str):
+    # radii.verify loads on first use; handlers call it through the module, where a tracer wraps it
+    if name in ("VerificationOutcome", "default_config", "explore_interlacing", "run_verify"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt17(x: float) -> str:
@@ -292,18 +298,20 @@ def _verify(args: argparse.Namespace):
         if not tol >= 0.0:  # also NaN; inf switches the check off
             raise DomainError(f"--tol value in {item!r} must be >= 0")
         tol_overrides.append((prefix, tol))
-    report = run_verify(default_config(only=args.only, tolerance_overrides=tuple(tol_overrides)))
+    cli = sys.modules[__name__]
+    report = cli.run_verify(cli.default_config(only=args.only, tolerance_overrides=tuple(tol_overrides)))
     if args.only and not report.outcomes:
         raise DomainError(f"--only {args.only!r} matches no claim id")
     rows = [o._asdict() for o in report.outcomes]
     code = EXIT_OK if report.passed else EXIT_CLAIMS_FAILED
-    return VERIFY_COLUMNS, rows, rows, lambda: _render_verify_text(report), code
+    return cli.VerificationOutcome._fields, rows, rows, lambda: _render_verify_text(report), code
 
 
 def _interlace(args: argparse.Namespace):
     if not 1 <= args.count <= MAX_ZERO_INDEX:
         raise DomainError(f"--count must be in 1..{MAX_ZERO_INDEX}, got {args.count}")
-    reports = [explore_interlacing(nu, args.count) for nu in args.nu or (-0.5, 0.0, 0.5)]
+    explore = sys.modules[__name__].explore_interlacing
+    reports = [explore(nu, args.count) for nu in args.nu or (-0.5, 0.0, 0.5)]
     rows = [
         {"nu": rep.nu, "index": index, "source": source, "zero": zero}
         for rep in reports
@@ -349,6 +357,7 @@ def _json_safe(value):
 
 
 def _render_json(command: str, rows) -> str:
+    import json
     payload = {
         "schema_version": 1,
         "command": command,
@@ -426,5 +435,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def script_main():
+    """The ``radii`` script and ``python -m radii.cli``: exit with main()'s code.
+    Freezing first leaves the interpreter's exit-time collections nothing to
+    traverse; main itself does not freeze, since tests call it in process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script_main()

@@ -19,3 +19,7 @@ class TruncationError(RadiiError, ArithmeticError):
 
 class RootNotFoundError(RadiiError, ArithmeticError):
     """A bracketing or refinement step could not locate the requested root."""
+
+
+class FloatRangeError(RadiiError, ArithmeticError):
+    """A power sum overflows or underflows binary64 at the requested parameter."""

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple
 
-from .errors import OrderError
+from .errors import FloatRangeError, OrderError
 from .families import Base, Family, Kind, check_domain
 from .series import CoefficientSequence, coefficient_sequence
 
@@ -80,12 +81,15 @@ class SumLedger(NamedTuple):
         """Enclosure of order k from p_k and p_(k+1), in the family's variable."""
         pk = self.p(k)
         pk1 = self.p(k + 1)
-        if self.family.kind is Kind.CIRCLE:
-            lower = 2.0 * pk ** (-0.5 / k)
-            upper = 2.0 * math.sqrt(pk / pk1)
-        else:
-            lower = 4.0 * pk ** (-1.0 / k)
-            upper = 4.0 * pk / pk1
+        try:
+            if self.family.kind is Kind.CIRCLE:
+                lower = 2.0 * pk ** (-0.5 / k)
+                upper = 2.0 * math.sqrt(pk / pk1)
+            else:
+                lower = 4.0 * pk ** (-1.0 / k)
+                upper = 4.0 * pk / pk1
+        except (ZeroDivisionError, OverflowError):  # a sum underflowed to 0 or a subnormal
+            raise _range_error(self.family, self.parameter) from None
         return BracketInterval(self.family, self.parameter, k, lower, upper, self.source)
 
 
@@ -129,6 +133,16 @@ def newton_power_sums(coeffs: CoefficientSequence, upto: int) -> tuple[float, ..
             acc += (-1.0) ** (i - 1) * c[i] * p[k - i - 1]
         p.append(acc)
     return tuple(p)
+
+
+#: Normal binary64 range; a power sum outside it (or NaN) has lost its digits.
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+
+
+def _range_error(family: Family, parameter: float) -> FloatRangeError:
+    return FloatRangeError(
+        f"{family.value}: binary64 power sums overflow or underflow at parameter {parameter!r}"
+    )
 
 
 def _poly(x: float, coeffs: tuple[int, ...]) -> float:
@@ -217,9 +231,15 @@ def closed_form_sum(family: Family, parameter: float, k: int) -> float:
         )
     v = float(parameter)
     num, den, coeffs, exponents = _CLOSED[family][k - 1]
-    for (a, b), e in zip(_FACTORS[family.base], exponents):
-        den *= (a * v + b) ** e
-    return num * _poly(v, coeffs) / den
+    try:
+        for (a, b), e in zip(_FACTORS[family.base], exponents):
+            den *= (a * v + b) ** e
+    except OverflowError:
+        raise _range_error(family, v) from None
+    pk = num * _poly(v, coeffs) / den
+    if not _TINY <= abs(pk) <= _HUGE:
+        raise _range_error(family, v)
+    return pk
 
 
 def power_sums(
@@ -236,6 +256,8 @@ def power_sums(
     else:
         coeffs = coefficient_sequence(family, parameter, upto)
         values = newton_power_sums(coeffs, upto)
+        if not all(_TINY <= abs(p) <= _HUGE for p in values):
+            raise _range_error(family, float(parameter))
     return SumLedger(family, float(parameter), source, values)
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,14 +238,22 @@ def test_explore_interlace_accepts_negative_exponent_order(capsys):
     [
         ("radius", "--family", "bessel-sqrt", "--param", "1e40"),
         ("bounds", "--family", "all", "--param", "1e300", "--k", "6", "--source", "both"),
+        ("radius", "--family", "bessel-sqrt", "--param", "1e60"),
+        ("radius", "--family", "bessel-sqrt", "--param", "1e80"),
+        ("radius", "--family", "bessel-circle", "--param", "1e150"),
+        ("bounds", "--family", "bessel-circle", "--param", "1e100", "--k", "6", "--source", "newton"),
+        ("bounds", "--family", "bessel-circle", "--param", "1e150"),
     ],
-    ids=["zero-division", "overflow"],
+    ids=["zero-division", "overflow", "sqrt-1e60", "sqrt-1e80", "circle-1e150", "newton-1e100",
+         "bounds-1e150"],
 )
 def test_float_arithmetic_failure_is_numeric_error(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    family = "bessel-circle" if argv[2] == "all" else argv[2]  # the first family fails first
+    assert err == (
+        f"error: {family}: binary64 power sums overflow or underflow at parameter {float(argv[4])!r}\n"
+    )
 
 
 def test_verify_only_const_json(capsys):
@@ -420,3 +432,41 @@ def test_help_exits_cleanly(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def run_module(*argv):
+    """``python -m radii.cli ARGV`` in a fresh interpreter: the script's exit path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "radii.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "param, code", [("0.3", 0), ("-2", 2), ("1e60", 3)], ids=["ok", "domain", "numeric"]
+)
+def test_module_exit_codes(param, code):
+    done = run_module("radius", "--family", "bessel-sqrt", "--param", param)
+    assert done.returncode == code, done.stderr
+    assert (done.stdout != b"") == (code == 0)
+    assert (done.stderr == b"") == (code == 0)
+
+
+def test_module_out_file_matches_stdout(tmp_path):
+    argv = ("radius", "--family", "all", "--param", "0.25", "--format", "csv")
+    target = tmp_path / "rows.csv"
+    to_file = run_module(*argv, "--out", str(target))
+    to_stdout = run_module(*argv)
+    assert (to_file.returncode, to_file.stdout) == (0, b"")
+    assert to_stdout.returncode == 0
+    assert target.read_bytes() == to_stdout.stdout
+    assert to_stdout.stdout.count(b"\n") == 7
+
+
+def test_module_verify_json_is_complete(capsys):
+    done = run_module("verify", "--only", "const", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert len(payload["rows"]) == 5
+    code, out, _ = run_cli(capsys, "verify", "--only", "const", "--format", "json")
+    assert done.stdout.decode() == out

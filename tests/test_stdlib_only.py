@@ -78,3 +78,37 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_one_point_commands_leave_the_claim_suite_and_json_unloaded():
+    # radii.verify and json load on first use; `import radii` and the
+    # radius/bounds commands use neither.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import radii\n"
+        "unused = {'radii.verify', 'json'}\n"
+        "print(sorted(unused & set(sys.modules)))\n"
+        "import radii.cli\n"
+        "radii.cli.main(['radius', '--family', 'bessel-circle', '--param', '0.3'])\n"
+        "radii.cli.main(['bounds', '--family', 'all', '--param', '0.3', '--format', 'csv'])\n"
+        "print(sorted(unused & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert len(lines) == 2 + 1 + 1 + 6 * 3  # two checks, one radius row, header and 18 bounds
+
+
+def test_every_exported_name_resolves():
+    for name in radii.__all__:
+        assert getattr(radii, name) is not None, name
+    assert radii.run_verify is radii.verify.run_verify
+
+
+def test_unknown_attribute_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        radii.no_such_name

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ from radii import (
     BracketInterval,
     DomainError,
     Family,
+    FloatRangeError,
     OrderError,
+    RadiiError,
+    SumLedger,
     SumSource,
     closed_form_sum,
     coefficient_sequence,
@@ -235,6 +239,23 @@ def test_ledger_bracket_needs_the_next_sum():
         ledger.bracket(4)
     with pytest.raises(OrderError, match="requested p_0"):
         ledger.bracket(0)
+
+
+def test_sums_out_of_binary64_range_raise_float_range_error():
+    # bessel p_4 divides by (nu+1)^4 (nu+2)^2 (nu+3)(nu+4) ~ nu^8, which leaves
+    # binary64 near nu = 1e38; the Newton p_7 ~ nu^-7 underflows near nu = 1e44
+    message = "bessel-circle: binary64 power sums overflow or underflow at parameter 1e+60"
+    with pytest.raises(FloatRangeError, match=re.escape(message)):
+        closed_form_sum(Family.BESSEL_CIRCLE, 1e60, 4)
+    with pytest.raises(FloatRangeError, match=r"at parameter 1e\+300"):
+        closed_form_sum(Family.BESSEL_SQRT, 1e300, 2)  # (nu+1)^2 raises OverflowError
+    with pytest.raises(FloatRangeError, match=r"at parameter 1e\+100"):
+        power_sums(Family.BESSEL_CIRCLE, 1e100, 7, SumSource.NEWTON_RECURRENCE)
+    ledger = SumLedger(Family.BESSEL_SQRT, 1e100, SumSource.NEWTON_RECURRENCE, (2e-100, 0.0))
+    with pytest.raises(FloatRangeError, match=r"bessel-sqrt: .* at parameter 1e\+100"):
+        ledger.bracket(1)
+    assert issubclass(FloatRangeError, RadiiError) and issubclass(FloatRangeError, ArithmeticError)
+    assert closed_form_sum(Family.BESSEL_CIRCLE, 1e30, 4) > 0.0  # still in range
 
 
 def test_domain_errors_propagate():

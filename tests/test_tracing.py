@@ -10,6 +10,7 @@ import importlib
 import sys
 from pathlib import Path
 
+from radii import cli
 from radii.families import Base
 from radii.verify import VerifyConfig, run_verify
 
@@ -58,3 +59,21 @@ def test_tracer_installs_counts_and_uninstalls():
     assert calls["roots.find_radius"] > 0
     assert calls["sums.radius_bracket"] > 0
     assert calls["basefuncs.struve_h"] > 0
+
+
+def test_tracer_sees_the_cli_verify_call(capsys):
+    # cli resolves run_verify lazily; its handler must still call it through
+    # the module attribute the tracer wraps, or the span below is missing
+    tracing = load_tracing()
+    before = bound_functions(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["verify", "--only", "const", "--format", "json"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().out
+    assert all(fn is before[key] for key, fn in bound_functions(tracing).items())
+    spans = tracing.SpanSet(tracer.spans, tracer.counts)
+    assert spans.calls["verify.run_verify"] == 1
+    assert spans.counts["verify.claims"] == 5
