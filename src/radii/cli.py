@@ -23,14 +23,13 @@ error, 3 numerical failure (series truncation, lost root or float overflow).
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import math
 import sys
 
 from .errors import DomainError, OrderError
 from .families import Family, check_domain, family_from_cli_name
+# eager: resolved lazily, this alias would bind a tracer's wrapper of roots.find_radius
 from .roots import MAX_ZERO_INDEX, find_radius
 from .series import MAX_TERMS_ENV
 from .sums import MAX_CLOSED_BRACKET, MAX_NEWTON_BRACKET, SumSource, radius_bracket
@@ -342,6 +341,8 @@ def _cell(value) -> str:
 
 
 def _render_csv(columns, rows) -> str:
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

@@ -7,14 +7,17 @@ the traced benchmark run.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
+import radii
 from radii import cli
 from radii.families import Base
 from radii.verify import VerifyConfig, run_verify
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+SRC = str(Path(radii.__file__).resolve().parents[1])
 
 TINY = VerifyConfig(
     bessel_grid=(0.0, 0.5),
@@ -77,3 +80,33 @@ def test_tracer_sees_the_cli_verify_call(capsys):
     spans = tracing.SpanSet(tracer.spans, tracer.counts)
     assert spans.calls["verify.run_verify"] == 1
     assert spans.counts["verify.claims"] == 5
+
+
+def test_fresh_traced_cli_run_records_one_radius_span():
+    # perfbench/traced_cli.py's steps in a fresh interpreter: nothing in radii
+    # is resolved before install, so a lazily bound alias would be wrapped
+    # twice (once at roots, once through it) and outlive uninstall.
+    script = f"""
+import importlib, sys
+sys.path[:0] = [{SRC!r}, {PERFBENCH!r}]
+import radii.cli
+from tracing import BINDINGS, SpanSet, Tracer
+tracer = Tracer()
+tracer.install()
+try:
+    code = radii.cli.main(["radius", "--family", "bessel-circle", "--param", "0.3", "--format", "csv"])
+finally:
+    tracer.uninstall()
+restored = True
+for name, (home, sites) in BINDINGS.items():
+    attr = name.split(".", 1)[1]
+    original = getattr(importlib.import_module(home), attr)
+    restored &= not hasattr(original, "__wrapped__")
+    restored &= all(getattr(importlib.import_module(site), attr) is original for site in sites)
+print(code, SpanSet(tracer.spans).calls["roots.find_radius"], restored)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("family,parameter,radius")
+    assert lines[-1] == "0 1 True"
