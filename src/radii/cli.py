@@ -65,10 +65,10 @@ exit codes: 0 ok, 1 failed verify claims, 2 usage/domain error, 3 numerics
 
 
 def __getattr__(name: str):
-    # radii.verify loads on first use; handlers call it through the module, where a tracer wraps it
-    if name in ("VerificationOutcome", "default_config", "explore_interlacing", "run_verify"):
-        from . import verify
-        return getattr(verify, name)
+    # radii.verify loads on first use; _verify looks run_verify up here, where a tracer wraps it
+    if name == "run_verify":
+        from .verify import run_verify
+        return run_verify
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -253,16 +253,8 @@ def _bounds(args: argparse.Namespace):
             top = min(args.k, MAX_CLOSED_BRACKET) if source is SumSource.CLOSED_FORM else args.k
             for k in range(1, top + 1):
                 b = radius_bracket(family, p, k, source)
-                rows.append(
-                    {
-                        "family": family.value,
-                        "parameter": p,
-                        "k": k,
-                        "lower": b.lower,
-                        "upper": b.upper,
-                        "source": source.value,
-                    }
-                )
+                row = (family.value, p, k, b.lower, b.upper, source.value)
+                rows.append(dict(zip(BOUNDS_COLUMNS, row)))
     return BOUNDS_COLUMNS, rows, rows, lambda: _render_table_text(rows, BOUNDS_COLUMNS), EXIT_OK
 
 
@@ -270,17 +262,9 @@ def _radius(args: argparse.Namespace):
     rows = []
     for family, p in _points(args):
         rep = find_radius(family, p)
-        rows.append(
-            {
-                "family": family.value,
-                "parameter": p,
-                "radius": rep.radius,
-                "residual": rep.residual,
-                "iterations": rep.iterations,
-                "lo3": rep.bracket3.lower,
-                "hi3": rep.bracket3.upper,
-            }
-        )
+        row = (family.value, p, rep.radius, rep.residual, rep.iterations, rep.bracket3.lower,
+               rep.bracket3.upper)
+        rows.append(dict(zip(RADIUS_COLUMNS, row)))
     return RADIUS_COLUMNS, rows, rows, lambda: _render_table_text(rows, RADIUS_COLUMNS), EXIT_OK
 
 
@@ -297,20 +281,21 @@ def _verify(args: argparse.Namespace):
         if not tol >= 0.0:  # also NaN; inf switches the check off
             raise DomainError(f"--tol value in {item!r} must be >= 0")
         tol_overrides.append((prefix, tol))
-    cli = sys.modules[__name__]
-    report = cli.run_verify(cli.default_config(only=args.only, tolerance_overrides=tuple(tol_overrides)))
+    from .verify import VerificationOutcome, default_config
+    config = default_config(only=args.only, tolerance_overrides=tuple(tol_overrides))
+    report = sys.modules[__name__].run_verify(config)
     if args.only and not report.outcomes:
         raise DomainError(f"--only {args.only!r} matches no claim id")
     rows = [o._asdict() for o in report.outcomes]
     code = EXIT_OK if report.passed else EXIT_CLAIMS_FAILED
-    return cli.VerificationOutcome._fields, rows, rows, lambda: _render_verify_text(report), code
+    return VerificationOutcome._fields, rows, rows, lambda: _render_verify_text(report), code
 
 
 def _interlace(args: argparse.Namespace):
     if not 1 <= args.count <= MAX_ZERO_INDEX:
         raise DomainError(f"--count must be in 1..{MAX_ZERO_INDEX}, got {args.count}")
-    explore = sys.modules[__name__].explore_interlacing
-    reports = [explore(nu, args.count) for nu in args.nu or (-0.5, 0.0, 0.5)]
+    from .verify import explore_interlacing
+    reports = [explore_interlacing(nu, args.count) for nu in args.nu or (-0.5, 0.0, 0.5)]
     rows = [
         {"nu": rep.nu, "index": index, "source": source, "zero": zero}
         for rep in reports

@@ -35,6 +35,21 @@ class Base(enum.Enum):
         """The circle-normalized family of this base."""
         return Family(f"{self.value}-{Kind.CIRCLE.value}")
 
+    def pochhammer(self, parameter: float) -> tuple[float, float]:
+        """The pair (a, b) of u_n = 1/((a)_n (b)_n), read from :data:`POCHHAMMER`."""
+        a0, a1, b0, b1 = POCHHAMMER[self]
+        p = float(parameter)
+        return a0 + a1 * p, b0 + b1 * p
+
+
+# Each base series is u_n = 1/((a)_n (b)_n) with a = a0 + a1 p and b = b0 + b1 p, one row
+# (a0, a1, b0, b1) per base: Bessel (1, nu+1), Struve (3/2, nu+3/2), Lommel ((mu+2)/2, (mu+3)/2).
+POCHHAMMER = {
+    Base.BESSEL: (1.0, 0.0, 1.0, 1.0),
+    Base.STRUVE: (1.5, 0.0, 1.5, 1.0),
+    Base.LOMMEL: (1.0, 0.5, 1.5, 0.5),
+}
+
 
 class Kind(enum.Enum):
     """Which normalization was applied to the base function."""

@@ -138,8 +138,8 @@ def equation_residual(family: Family, parameter: float, z: float) -> float:
     orients it positive as z -> 0+; the zero set is unchanged.
     """
     check_domain(family, parameter)
-    if not z > 0.0:
-        raise ValueError(f"residual defined for z > 0, got {z!r}")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"residual defined for finite z > 0, got {z!r}")
     p = float(parameter)
     x = z if family.kind is Kind.CIRCLE else math.sqrt(z)
     r, s = reduced_pair(family.base, p, x)
@@ -285,15 +285,14 @@ def circle_solution(base: Base, parameter: float):
 def scan_window(base: Base, parameter: float, count: int) -> tuple[float, float, float]:
     """(lower, upper, limit) for a scan after the first ``count`` zeros of the base.
 
-    With u_n the base series coefficients (u_0 = 1), the first two Rayleigh
-    sums are s1 = u_1/4 and s2 = s1^2 - u_2/8, and the Euler-Rayleigh
+    With u_n the base series coefficients (u_0 = 1), the first two Rayleigh sums
+    are s1 = u_1/4 and s2 = s1^2 - u_2/8 = s1^2 - s1 (u_2/u_1)/2, and the Euler-Rayleigh
     inequality puts the first zero strictly between lower = 1/sqrt(s1) and
     upper = sqrt(s1/s2).  A scan gives up at limit = upper + 2.6 pi (count + 2.5),
     far past where the zeros, about pi apart, run out.
     """
-    u1 = base_coefficient_ratio(base, parameter, 0)
-    s1 = u1 / 4.0
-    s2 = s1 * s1 - u1 * base_coefficient_ratio(base, parameter, 1) / 8.0
+    s1 = first_rayleigh_zero_sum(base, parameter)
+    s2 = s1 * s1 - s1 * base_coefficient_ratio(base, parameter, 1) / 2.0
     upper = math.sqrt(s1 / s2)
     return 1.0 / math.sqrt(s1), upper, upper + 2.6 * math.pi * (count + 2.5)
 

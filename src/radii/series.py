@@ -1,11 +1,8 @@
 """Power-series evaluation of the normalized functions and their derivatives.
 
-Every family shares one template.  Writing u_n for the base coefficient
-
-* Bessel:  u_n = 1 / (n! (nu+1)_n)
-* Struve:  u_n = 1 / ((3/2)_n (nu+3/2)_n)
-* Lommel:  u_n = 1 / (((mu+2)/2)_n ((mu+3)/2)_n)
-
+Every family shares one template.  Writing u_n = 1/((a)_n (b)_n) for the
+base coefficient, with the base's Pochhammer pair (a, b) from
+:data:`radii.families.POCHHAMMER` (so u_(n+1)/u_n = 1/((n+a)(b+n))),
 the circle-normalized function is   f(x) = sum (-1)^n u_n x^(2n+1) / 4^n
 and the sqrt-normalized function is f(x) = sum (-1)^n u_n x^(n+1) / 4^n.
 
@@ -32,6 +29,7 @@ one-call wrappers over the evaluators.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import NamedTuple
 
@@ -65,23 +63,24 @@ def resolve_max_terms(max_terms: int | None = None) -> int:
     return max_terms
 
 
+def _ratio_at(base: Base, parameter: float, kind: Kind | None = None):
+    """n -> u_(n+1)/u_n, or c_(n+1)/c_n for a kind, with (a, b) read once."""
+    a, b = base.pochhammer(parameter)
+    if kind is None:
+        return lambda n: 1.0 / ((n + a) * (b + n))
+    if kind is Kind.CIRCLE:
+        return lambda n: 1.0 / ((n + a) * (b + n)) * (2.0 * n + 3.0) / (2.0 * n + 1.0)
+    return lambda n: 1.0 / ((n + a) * (b + n)) * (n + 2.0) / (n + 1.0)
+
+
 def base_coefficient_ratio(base: Base, parameter: float, n: int) -> float:
-    """Ratio u_(n+1)/u_n of the base series coefficients."""
-    p = float(parameter)
-    if base is Base.BESSEL:
-        return 1.0 / ((n + 1.0) * (p + 1.0 + n))
-    if base is Base.STRUVE:
-        return 1.0 / ((n + 1.5) * (p + 1.5 + n))
-    # Lommel: ((mu+2)/2 + n) ((mu+3)/2 + n) in the denominator
-    return 4.0 / ((2.0 * n + p + 2.0) * (2.0 * n + p + 3.0))
+    """Ratio u_(n+1)/u_n = 1/((n+a)(b+n)) of the base series coefficients."""
+    return _ratio_at(base, parameter)(n)
 
 
 def coefficient_ratio(family: Family, parameter: float, n: int) -> float:
     """Ratio c_(n+1)/c_n of the transformed derivative coefficients."""
-    r = base_coefficient_ratio(family.base, parameter, n)
-    if family.kind is Kind.CIRCLE:
-        return r * (2.0 * n + 3.0) / (2.0 * n + 1.0)
-    return r * (n + 2.0) / (n + 1.0)
+    return _ratio_at(family.base, parameter, family.kind)(n)
 
 
 class CoefficientSequence(NamedTuple):
@@ -101,11 +100,10 @@ def coefficient_sequence(family: Family, parameter: float, upto: int) -> Coeffic
     check_domain(family, parameter)
     if upto < 0:
         raise ValueError(f"coefficient order must be nonnegative, got {upto}")
+    ratio = _ratio_at(family.base, parameter, family.kind)
     values = [1.0]
-    c = 1.0
     for n in range(upto):
-        c *= coefficient_ratio(family, parameter, n)
-        values.append(c)
+        values.append(values[-1] * ratio(n))
     return CoefficientSequence(family, float(parameter), tuple(values))
 
 
@@ -156,11 +154,7 @@ def value_evaluator(family: Family, parameter: float, *, max_terms: int | None =
     worked out once per evaluator instead of once per call.  The closure
     keeps a growing ratio table, so give each thread its own evaluator.
     """
-    base = family.base
-    total = _series(
-        family, parameter, lambda n: base_coefficient_ratio(base, parameter, n),
-        max_terms, "value",
-    )
+    total = _series(family, parameter, _ratio_at(family.base, parameter), max_terms, "value")
 
     def value(x: float) -> float:
         x = float(x)
@@ -176,8 +170,7 @@ def derivative_evaluator(family: Family, parameter: float, *, max_terms: int | N
     :func:`value_evaluator` for what is shared between calls.
     """
     total = _series(
-        family, parameter, lambda n: coefficient_ratio(family, parameter, n),
-        max_terms, "derivative",
+        family, parameter, _ratio_at(family.base, parameter, family.kind), max_terms, "derivative"
     )
 
     def derivative(x: float) -> float:
@@ -185,6 +178,13 @@ def derivative_evaluator(family: Family, parameter: float, *, max_terms: int | N
         return 1.0 if x == 0.0 else total(1.0, x)
 
     return derivative
+
+
+def _finite(x: float) -> float:
+    """x as a float; the public one-call wrappers reject NaN and infinities."""
+    if math.isfinite(x := float(x)):
+        return x
+    raise ValueError(f"series evaluated at finite x only, got {x!r}")
 
 
 def eval_normalized(
@@ -195,7 +195,7 @@ def eval_normalized(
     For sqrt families the argument is the substituted variable, i.e. the
     series sum(-1)^n u_n x^(n+1)/4^n is evaluated as given.
     """
-    return value_evaluator(family, parameter, max_terms=max_terms)(x)
+    return value_evaluator(family, parameter, max_terms=max_terms)(_finite(x))
 
 
 def eval_normalized_derivative(
@@ -207,4 +207,4 @@ def eval_normalized_derivative(
     sum(-1)^n c_n x^n/4^n (sqrt) whose first positive zero is the radius of
     starlikeness of the family member.
     """
-    return derivative_evaluator(family, parameter, max_terms=max_terms)(x)
+    return derivative_evaluator(family, parameter, max_terms=max_terms)(_finite(x))

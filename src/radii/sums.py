@@ -2,7 +2,8 @@
 
 Write the transformed derivative of a circle family as
 prod(1 - z/a_n) and of a sqrt family as prod(1 - z/b_n) (Hadamard products
-over the positive zero parameters).  The power sums
+over the positive zero parameters; the c_n come from the base's Pochhammer
+pair, :data:`radii.families.POCHHAMMER`).  The power sums
 
     p_k = sum_n a_n^(-k)      (resp. b_n^(-k))
 
@@ -282,36 +283,24 @@ def radius_bracket(
 
 
 def crude_upper_bound(family: Family, parameter: float) -> float:
-    """Cheap a-priori bound the radius never reaches.
+    """Cheap a-priori bound the radius never reaches, from the base's pair (a, b).
 
-    Circle bounds are square roots of the sqrt-family bounds, reflecting the
-    variable substitution.
+    It is (4a) b for the sqrt kind and sqrt((2a) b) for the circle kind.
     """
     check_domain(family, parameter)
-    p = float(parameter)
-    if family is Family.BESSEL_CIRCLE:
-        return math.sqrt(2.0 * (p + 1.0))
-    if family is Family.BESSEL_SQRT:
-        return 4.0 * (p + 1.0)
-    if family is Family.STRUVE_CIRCLE:
-        return math.sqrt(3.0 * (p + 1.5))
-    if family is Family.STRUVE_SQRT:
-        return 3.0 * (2.0 * p + 3.0)
-    if family is Family.LOMMEL_CIRCLE:
-        return math.sqrt((p + 2.0) * (p + 3.0) / 2.0)
-    return (p + 2.0) * (p + 3.0)
+    a, b = family.base.pochhammer(parameter)
+    if family.kind is Kind.CIRCLE:
+        return math.sqrt((2.0 * a) * b)
+    return (4.0 * a) * b
 
 
 def first_rayleigh_zero_sum(base: Base, parameter: float) -> float:
-    """sum 1/u_n^2 over the positive zeros u_n of the circle-normalized base.
+    """sum 1/j_n^2 over the positive zeros j_n of the circle-normalized base.
 
-    These are the classical first Rayleigh sums; they drive tail estimates
-    for partial zero sums and the pole expansion check.
+    These are the classical first Rayleigh sums 1/((4a) b), for the base's
+    pair (a, b); they drive tail estimates for partial zero sums, the pole
+    expansion check and the zero scan's window.
     """
     check_domain(base.circle, parameter)
-    p = float(parameter)
-    if base is Base.BESSEL:
-        return 1.0 / (4.0 * (p + 1.0))
-    if base is Base.STRUVE:
-        return 1.0 / (3.0 * (2.0 * p + 3.0))
-    return 1.0 / ((p + 2.0) * (p + 3.0))
+    a, b = base.pochhammer(parameter)
+    return 1.0 / ((4.0 * a) * b)

@@ -22,10 +22,10 @@ from radii.cli import main
 
 GOLDEN = {
     ("verify", "--format", "json"):
-        "f91b9c48494ccc25d4f0bd5d88861b80da2dde204142dc95dfe62e723ec9cfef",
+        "f6c33fa1480e7873b3b3c9116278979dd99e84a979933a126079d97bdb170e1e",
     ("bounds", "--family", "all", "--range", "-0.9", "0.9", "0.05",
      "--k", "6", "--source", "both", "--format", "csv"):
-        "d0446fb4bce49df9fd98b553ce112a84d85303bce52ab6a81d829e5eacf1395d",
+        "66f093a984e36b2a276119df6c8a17e72cfadc553e5175a1642425f4180f0272",
     ("radius", "--family", "all", "--range", "-0.9", "0.9", "0.05", "--format", "csv"):
         "21836e76f4646156408f4130fb7dd8ca1c6a34ad06380ba6cad47e5f23d2a4ef",
     ("explore-interlace", "--format", "json"):

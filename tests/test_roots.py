@@ -17,6 +17,8 @@ from radii import (
     crude_upper_bound,
     default_config,
     equation_residual,
+    eval_normalized,
+    eval_normalized_derivative,
     explore_interlacing,
     find_first_function_zero,
     find_radius,
@@ -105,6 +107,15 @@ def test_residual_rejects_nonpositive_argument():
         equation_residual(Family.BESSEL_CIRCLE, 0.0, 0.0)
     with pytest.raises(ValueError, match="z > 0"):
         equation_residual(Family.LOMMEL_SQRT, 0.5, -2.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", list(Family))
+def test_non_finite_arguments_raise_value_error(family, x):
+    # a usage error, not a series that fails to converge "at nan"
+    for fn in (eval_normalized, eval_normalized_derivative, equation_residual):
+        with pytest.raises(ValueError, match=f"finite .*, got {x!r}$"):
+            fn(family, SAMPLE_PARAMS[family][1], x)
 
 
 @st.composite

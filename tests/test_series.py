@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,13 @@ from radii import (
     eval_normalized_derivative,
 )
 from radii.families import Base, Kind
-from radii.series import derivative_evaluator, resolve_max_terms, value_evaluator
+from radii.series import (
+    base_coefficient_ratio,
+    derivative_evaluator,
+    resolve_max_terms,
+    value_evaluator,
+)
+from radii.verify import default_config, grid_for
 
 from draws import whole_domain_parameter
 
@@ -96,6 +104,25 @@ def gamma_coefficient(family, parameter, n):
         log_u = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + n) - math.lgamma(b + n)
     factor = 2 * n + 1 if family.kind is Kind.CIRCLE else n + 1
     return factor * math.exp(log_u)
+
+
+#: The Pochhammer pair (a, b) of u_n = 1/((a)_n (b)_n), spelled out exactly per base.
+EXACT_PAIR = {
+    Base.BESSEL: lambda p: (Fraction(1), p + 1),
+    Base.STRUVE: lambda p: (Fraction(3, 2), p + Fraction(3, 2)),
+    Base.LOMMEL: lambda p: ((p + 2) / 2, (p + 3) / 2),
+}
+
+
+@pytest.mark.parametrize("base", list(Base))
+def test_base_ratio_within_two_ulps_of_exact_pochhammer_ratio(base):
+    # one ulp is 2^-52 relative: the spacing of binary64 numbers in [1, 2)
+    ulp = Fraction(sys.float_info.epsilon)
+    for p in grid_for(default_config(), base.circle):
+        a, b = EXACT_PAIR[base](Fraction(p))
+        for n in range(41):
+            exact = 1 / ((n + a) * (n + b))
+            assert abs(Fraction(base_coefficient_ratio(base, p, n)) - exact) <= 2 * ulp * exact
 
 
 def test_leading_coefficient_is_one_exactly():

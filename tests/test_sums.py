@@ -153,18 +153,47 @@ def test_closed_sum_spot_values():
     assert closed_form_sum(Family.LOMMEL_SQRT, 0.5, 1) == pytest.approx(8.0 / 8.75, rel=1e-15)
 
 
+# Spot parameters per base, edges included, with the crude bounds and first
+# Rayleigh sums pinned bit for bit.  Each literal is the base's hand formula:
+# sqrt(2 (nu+1)) and 4 (nu+1) for Bessel, sqrt(3 (nu+3/2)) and 3 (2 nu+3) for
+# Struve, sqrt((mu+2)(mu+3)/2) and (mu+2)(mu+3) for Lommel; the Rayleigh sums
+# 1/(4 (nu+1)), 1/(3 (2 nu+3)) and 1/((mu+2)(mu+3)).
+SPOT_PARAMS = {
+    Base.BESSEL: (-0.999999, 0.0, 9.0, 1e4, 1e10),
+    Base.STRUVE: (-0.5, 0.0, 0.5),
+    Base.LOMMEL: (1e-12, -1e-12, 0.5, -0.5, 0.999999, -0.999999),
+}
+
+CRUDE_SPOT = {
+    Family.BESSEL_CIRCLE: (0.0014142135623934284, 1.4142135623730951, 4.47213595499958,
+                           141.42842712835352, 141421.3562443806),
+    Family.BESSEL_SQRT: (4.000000000115023e-06, 4.0, 40.0, 40004.0, 40000000004.0),
+    Family.STRUVE_CIRCLE: (1.7320508075688772, 2.1213203435596424, 2.449489742783178),
+    Family.STRUVE_SQRT: (6.0, 9.0, 12.0),
+    Family.LOMMEL_CIRCLE: (1.732050807569599, 1.7320508075681555, 2.091650066335189,
+                           1.3693063937629153, 2.4494890283486677, 1.0000007499999688),
+    Family.LOMMEL_SQRT: (6.0000000000050004, 5.9999999999949996, 8.75, 3.75,
+                         11.999993000000998, 2.0000030000010005),
+}
+
+RAYLEIGH_SPOT = {
+    Base.BESSEL: (249999.9999928111, 0.25, 0.025, 2.4997500249975004e-05, 2.49999999975e-11),
+    Base.STRUVE: (0.16666666666666666, 0.1111111111111111, 0.08333333333333333),
+    Base.LOMMEL: (0.16666666666652777, 0.16666666666680557, 0.11428571428571428,
+                  0.26666666666666666, 0.08333338194446586, 0.49999925000087486),
+}
+
+
 def test_crude_bound_spot_values():
-    assert crude_upper_bound(Family.BESSEL_SQRT, 0.0) == 4.0
-    assert crude_upper_bound(Family.LOMMEL_SQRT, 0.5) == 8.75
-    assert crude_upper_bound(Family.STRUVE_CIRCLE, 0.5) == pytest.approx(
-        math.sqrt(6.0), rel=1e-15
-    )
+    for family in Family:
+        got = tuple(crude_upper_bound(family, p) for p in SPOT_PARAMS[family.base])
+        assert got == CRUDE_SPOT[family], family
 
 
 def test_first_rayleigh_sum_spot_values():
-    assert first_rayleigh_zero_sum(Base.BESSEL, 0.0) == 0.25
-    assert first_rayleigh_zero_sum(Base.STRUVE, 0.5) == pytest.approx(1.0 / 12.0, rel=1e-15)
-    assert first_rayleigh_zero_sum(Base.LOMMEL, 0.5) == pytest.approx(1.0 / 8.75, rel=1e-15)
+    for base in Base:
+        got = tuple(first_rayleigh_zero_sum(base, p) for p in SPOT_PARAMS[base])
+        assert got == RAYLEIGH_SPOT[base], base
 
 
 @given(family_and_parameter())
